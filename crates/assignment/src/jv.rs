@@ -11,9 +11,17 @@
 //! `linear_sum_assignment`, which the paper's reference implementation calls
 //! through `scipy.optimize`.
 //!
-//! Complexity: `O(r^2 * c)` for an `r x c` matrix with `r <= c` (the matrix is
-//! transposed internally when `r > c`), which is far below a millisecond for
-//! the 20-query x 20-instance matchings the paper measures.
+//! Complexity: each of the `r` augmentations scans at most `c` columns per
+//! step of its path, and a path has at most `r` steps, so a solve costs
+//! `O(r^2 * c)` for an `r x c` matrix with `r <= c` (a taller matrix is
+//! solved transposed, so in general `O(min(r, c)^2 * max(r, c))`), plus
+//! `O(r * c)` to reset the per-augmentation state.  The 20-query x
+//! 20-instance matchings the paper measures stay far below a millisecond.
+//!
+//! [`JvScratch`] owns every buffer the solver needs, so a caller that solves
+//! one matrix per scheduling round (the Kairos distributor) allocates only
+//! when a round outgrows every earlier one.  [`solve_jv`] is a thin wrapper
+//! that runs the same core on a fresh scratch.
 
 use crate::matrix::CostMatrix;
 use crate::solution::{Assignment, AssignmentError, AssignmentSolver};
@@ -42,127 +50,166 @@ impl AssignmentSolver for JonkerVolgenantSolver {
 /// Solves the rectangular min-cost assignment problem and returns an optimal
 /// matching of size `min(rows, cols)`.
 pub fn solve_jv(matrix: &CostMatrix) -> Result<Assignment, AssignmentError> {
+    let mut scratch = JvScratch::new();
     // The core routine requires rows <= cols; transpose otherwise.
     if matrix.rows() <= matrix.cols() {
-        let col4row = solve_inner(matrix)?;
-        let mapping = col4row.into_iter().map(Some).collect();
+        let col4row = scratch.solve(matrix.as_slice(), matrix.rows(), matrix.cols())?;
+        let mapping = col4row.iter().map(|&col| Some(col)).collect();
         Ok(Assignment::from_row_mapping(matrix, mapping))
     } else {
         let transposed = matrix.transposed();
-        let col4row = solve_inner(&transposed)?;
+        let col4row = scratch.solve(transposed.as_slice(), transposed.rows(), transposed.cols())?;
         // `col4row[j]` is, in original terms, the row matched to column j.
         let mut row_to_col = vec![None; matrix.rows()];
-        for (col, row) in col4row.into_iter().enumerate() {
+        for (col, &row) in col4row.iter().enumerate() {
             row_to_col[row] = Some(col);
         }
         Ok(Assignment::from_row_mapping(matrix, row_to_col))
     }
 }
 
-/// Core shortest-augmenting-path loop.  Requires `rows <= cols`; returns
-/// `col4row` where `col4row[i]` is the column assigned to row `i`.
-fn solve_inner(cost: &CostMatrix) -> Result<Vec<usize>, AssignmentError> {
-    let nr = cost.rows();
-    let nc = cost.cols();
-    debug_assert!(nr <= nc);
+/// Marks an unmatched row or column.
+const UNASSIGNED: usize = usize::MAX;
 
-    // Dual variables.
-    let mut u = vec![0.0f64; nr];
-    let mut v = vec![0.0f64; nc];
+/// Reusable buffers of the Jonker–Volgenant core: dual variables, the
+/// matching in both directions and the per-augmentation search state.
+///
+/// Every buffer is reset at the start of [`Self::solve`], so a scratch that
+/// solved one matrix solves the next exactly as a fresh one would.
+#[derive(Debug, Default, Clone)]
+pub struct JvScratch {
+    u: Vec<f64>,
+    v: Vec<f64>,
+    col4row: Vec<usize>,
+    row4col: Vec<usize>,
+    shortest_path_costs: Vec<f64>,
+    path: Vec<usize>,
+    /// Rows an augmentation's search visited, first its starting row.
+    visited_rows: Vec<usize>,
+    /// Columns an augmentation's search scanned (removed from `remaining`).
+    scanned_cols: Vec<usize>,
+    remaining: Vec<usize>,
+}
 
-    // Matching state.  usize::MAX denotes "unassigned".
-    const UNASSIGNED: usize = usize::MAX;
-    let mut col4row = vec![UNASSIGNED; nr];
-    let mut row4col = vec![UNASSIGNED; nc];
-
-    // Scratch buffers reused across augmentations.
-    let mut shortest_path_costs = vec![f64::INFINITY; nc];
-    let mut path = vec![UNASSIGNED; nc];
-    let mut sr = vec![false; nr];
-    let mut sc = vec![false; nc];
-    let mut remaining: Vec<usize> = Vec::with_capacity(nc);
-
-    for cur_row in 0..nr {
-        // Reset per-augmentation state.
-        for x in shortest_path_costs.iter_mut() {
-            *x = f64::INFINITY;
-        }
-        for x in sr.iter_mut() {
-            *x = false;
-        }
-        for x in sc.iter_mut() {
-            *x = false;
-        }
-        remaining.clear();
-        remaining.extend(0..nc);
-
-        let mut min_val = 0.0f64;
-        let mut i = cur_row;
-        let mut sink = UNASSIGNED;
-
-        while sink == UNASSIGNED {
-            sr[i] = true;
-            let mut index = UNASSIGNED;
-            let mut lowest = f64::INFINITY;
-            let row_slice = cost.row(i);
-
-            for (it, &j) in remaining.iter().enumerate() {
-                let r = min_val + row_slice[j] - u[i] - v[j];
-                if r < shortest_path_costs[j] {
-                    path[j] = i;
-                    shortest_path_costs[j] = r;
-                }
-                // Prefer unassigned columns on ties so the augmenting path
-                // terminates as early as possible.
-                if shortest_path_costs[j] < lowest
-                    || (shortest_path_costs[j] == lowest && row4col[j] == UNASSIGNED)
-                {
-                    lowest = shortest_path_costs[j];
-                    index = it;
-                }
-            }
-
-            min_val = lowest;
-            if !min_val.is_finite() || index == UNASSIGNED {
-                // Cannot happen with finite cost matrices, but guard anyway.
-                return Err(AssignmentError::Infeasible);
-            }
-            let j = remaining[index];
-            if row4col[j] == UNASSIGNED {
-                sink = j;
-            } else {
-                i = row4col[j];
-            }
-            sc[j] = true;
-            remaining.swap_remove(index);
-        }
-
-        // Update dual variables.
-        u[cur_row] += min_val;
-        for irow in 0..nr {
-            if irow != cur_row && sr[irow] {
-                u[irow] += min_val - shortest_path_costs[col4row[irow]];
-            }
-        }
-        for jcol in 0..nc {
-            if sc[jcol] {
-                v[jcol] -= min_val - shortest_path_costs[jcol];
-            }
-        }
-
-        // Augment along the alternating path ending at `sink`.
-        let mut j = sink;
-        loop {
-            let i = path[j];
-            row4col[j] = i;
-            std::mem::swap(&mut col4row[i], &mut j);
-            if i == cur_row {
-                break;
-            }
-        }
+impl JvScratch {
+    /// Creates an empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    Ok(col4row)
+    /// Solves the `rows x cols` problem whose costs `cost` holds row-major,
+    /// with `rows <= cols`, and returns `col4row`: `col4row[i]` is the column
+    /// matched to row `i`.  Every row is matched.
+    ///
+    /// # Panics
+    /// Panics if `rows > cols` or `cost.len() != rows * cols`.
+    pub fn solve(
+        &mut self,
+        cost: &[f64],
+        rows: usize,
+        cols: usize,
+    ) -> Result<&[usize], AssignmentError> {
+        assert!(rows <= cols, "the JV core needs rows <= cols");
+        assert_eq!(cost.len(), rows * cols, "cost buffer shape mismatch");
+        let (nr, nc) = (rows, cols);
+        reset(&mut self.u, nr, 0.0);
+        reset(&mut self.v, nc, 0.0);
+        reset(&mut self.col4row, nr, UNASSIGNED);
+        reset(&mut self.row4col, nc, UNASSIGNED);
+        reset(&mut self.shortest_path_costs, nc, f64::INFINITY);
+        reset(&mut self.path, nc, UNASSIGNED);
+        let Self {
+            u,
+            v,
+            col4row,
+            row4col,
+            shortest_path_costs,
+            path,
+            visited_rows,
+            scanned_cols,
+            remaining,
+        } = self;
+
+        for cur_row in 0..nr {
+            // Reset per-augmentation state.
+            shortest_path_costs.fill(f64::INFINITY);
+            visited_rows.clear();
+            scanned_cols.clear();
+            remaining.clear();
+            remaining.extend(0..nc);
+
+            let mut min_val = 0.0f64;
+            let mut i = cur_row;
+            let mut sink = UNASSIGNED;
+
+            while sink == UNASSIGNED {
+                visited_rows.push(i);
+                let mut index = UNASSIGNED;
+                let mut lowest = f64::INFINITY;
+                let row_slice = &cost[i * nc..(i + 1) * nc];
+
+                for (it, &j) in remaining.iter().enumerate() {
+                    let r = min_val + row_slice[j] - u[i] - v[j];
+                    if r < shortest_path_costs[j] {
+                        path[j] = i;
+                        shortest_path_costs[j] = r;
+                    }
+                    // Prefer unassigned columns on ties so the augmenting path
+                    // terminates as early as possible.
+                    if shortest_path_costs[j] < lowest
+                        || (shortest_path_costs[j] == lowest && row4col[j] == UNASSIGNED)
+                    {
+                        lowest = shortest_path_costs[j];
+                        index = it;
+                    }
+                }
+
+                min_val = lowest;
+                if !min_val.is_finite() || index == UNASSIGNED {
+                    // Cannot happen with finite cost matrices, but guard anyway.
+                    return Err(AssignmentError::Infeasible);
+                }
+                let j = remaining[index];
+                if row4col[j] == UNASSIGNED {
+                    sink = j;
+                } else {
+                    i = row4col[j];
+                }
+                scanned_cols.push(j);
+                remaining.swap_remove(index);
+            }
+
+            // Update dual variables.  Each entry's update reads only the
+            // search state, so visiting order does not change the result.
+            u[cur_row] += min_val;
+            for &irow in &visited_rows[1..] {
+                u[irow] += min_val - shortest_path_costs[col4row[irow]];
+            }
+            for &jcol in scanned_cols.iter() {
+                v[jcol] -= min_val - shortest_path_costs[jcol];
+            }
+
+            // Augment along the alternating path ending at `sink`.
+            let mut j = sink;
+            loop {
+                let i = path[j];
+                row4col[j] = i;
+                std::mem::swap(&mut col4row[i], &mut j);
+                if i == cur_row {
+                    break;
+                }
+            }
+        }
+
+        Ok(&self.col4row)
+    }
+}
+
+/// Resizes `buf` to `len` entries, all equal to `value`, keeping its
+/// allocation.
+fn reset<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
+    buf.clear();
+    buf.resize(len, value);
 }
 
 #[cfg(test)]

@@ -113,9 +113,8 @@ impl From<crate::matrix::MatrixError> for AssignmentError {
 
 /// Trait implemented by every min-cost assignment solver in this crate.
 ///
-/// Implementations must return an optimal (for exact solvers) or feasible
-/// (for heuristics such as [`crate::greedy::GreedySolver`]) rectangular
-/// matching of size `min(rows, cols)`.
+/// Implementations must return an optimal rectangular matching of size
+/// `min(rows, cols)`.
 pub trait AssignmentSolver {
     /// Solves the min-cost rectangular assignment problem for `matrix`.
     fn solve(&self, matrix: &CostMatrix) -> Result<Assignment, AssignmentError>;

@@ -14,7 +14,9 @@ use kairos_sim::{
     CapacityProber, ClusterSpec, FcfsScheduler, Scheduler, ServiceSpec, ShardedEngine, SharingMode,
     SharingOptions, SimulationOptions,
 };
-use kairos_workload::{BatchSizeDistribution, MixSpec, MixedTraceSpec, TraceSpec};
+use kairos_workload::{
+    BatchSizeDistribution, MixSpec, MixedTraceSpec, Phase, PhasedArrival, TraceSpec,
+};
 use std::hint::black_box;
 
 fn bench_trace_replay(c: &mut Criterion) {
@@ -51,6 +53,44 @@ fn bench_trace_replay(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+}
+
+/// Kairos matching rounds at queue depth: an NCF stream of small log-normal
+/// batches (median 8, sigma 0.8) at 6 kQPS for 1.5 s, about 9k queries, on
+/// two g4dn instances without batching.  The pool serves a fraction of that
+/// rate, so the central queue grows through the whole replay and every
+/// round matches thousands of queued queries against two instances: the
+/// round cost is linear in queue depth, and this bench gates its constant.
+fn bench_kairos_deep_queue(c: &mut Criterion) {
+    let pool = PoolSpec::new(ec2::paper_pool());
+    let latency = paper_calibration();
+    let model = ModelKind::Ncf;
+    let service = ServiceSpec::new(model, latency.clone());
+    let mut counts = vec![0usize; pool.num_types()];
+    counts[pool.base_index()] = 2;
+    let config = Config::new(counts);
+    let mix = BatchSizeDistribution::LogNormal {
+        median: 8.0,
+        sigma: 0.8,
+    };
+    let trace = PhasedArrival::new(vec![Phase::poisson(6_000.0, mix, 1.5)], 5).generate();
+
+    let mut group = c.benchmark_group("kairos_deep_queue");
+    group.sample_size(10);
+    group.bench_function("ncf_6kqps_2xg4dn", |b| {
+        b.iter(|| {
+            let mut scheduler = scheduler_factory(SchedulerKind::Kairos, model, &latency);
+            black_box(run_trace(
+                &pool,
+                &config,
+                &service,
+                &trace,
+                scheduler.as_mut(),
+                &SimulationOptions::default(),
+            ))
+        })
+    });
     group.finish();
 }
 
@@ -464,6 +504,7 @@ fn bench_allowable_throughput_probe(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_trace_replay,
+    bench_kairos_deep_queue,
     bench_engine_vs_naive_50k,
     bench_sharded_replay,
     bench_rank_configs_sweep,

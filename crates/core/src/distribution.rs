@@ -12,14 +12,13 @@
 //! baselines.
 
 use crate::coefficient::heterogeneity_coefficients;
-use crate::lmatrix::{build_matrices, InstanceColumn, QueryRow, DEFAULT_XI};
-use kairos_assignment::{jv::solve_jv, Assignment};
+use crate::lmatrix::{LMatrix, DEFAULT_XI};
+use kairos_assignment::JvScratch;
 use kairos_models::{
     latency::LatencyTable, mlmodel::ModelKind, predictor::PredictorBank, MAX_BATCH_SIZE,
 };
 use kairos_sim::{Dispatch, InstanceView, Scheduler, SchedulingContext};
-use kairos_workload::ModelId;
-use std::collections::HashMap;
+use kairos_workload::{ModelId, Query, TimeUs};
 use std::sync::Arc;
 
 /// The Kairos matching-based query distributor.
@@ -37,7 +36,36 @@ pub struct KairosScheduler {
     reference_batch: u32,
     /// Number of matching rounds performed (exposed for tests/diagnostics).
     rounds: u64,
+    /// Buffers reused by every round.
+    scratch: RoundScratch,
 }
+
+/// The buffers of one matching round, kept across rounds so a round in
+/// steady state allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct RoundScratch {
+    matrix: LMatrix,
+    jv: JvScratch,
+    /// Distinct type names of the round's columns, in first-seen order.
+    types: Vec<Arc<str>>,
+    /// Largest-query latency per entry of `types`.
+    latencies: Vec<f64>,
+    /// Cluster instance index of every column.
+    instances: Vec<usize>,
+    /// Matched (query, column) pairs of a transposed solve.
+    pairs: Vec<(usize, usize)>,
+    /// Per-round prediction memo, `[slot * MEMO_BATCHES + batch]`: a
+    /// prediction and the round stamp it was computed in.  Predictors only
+    /// change between rounds, so within a round every query of the same
+    /// batch size and type gets the same value.
+    memo: Vec<(u64, f64)>,
+    /// Stamp of the current round in `memo`.
+    stamp: u64,
+}
+
+/// Batch sizes `0..MEMO_BATCHES` have a slot in the prediction memo; larger
+/// ones are predicted directly.
+const MEMO_BATCHES: usize = MAX_BATCH_SIZE as usize + 1;
 
 impl Default for KairosScheduler {
     fn default() -> Self {
@@ -55,6 +83,7 @@ impl KairosScheduler {
             xi: DEFAULT_XI,
             reference_batch: MAX_BATCH_SIZE,
             rounds: 0,
+            scratch: RoundScratch::default(),
         }
     }
 
@@ -96,26 +125,138 @@ impl KairosScheduler {
         &self.predictors
     }
 
-    /// Computes the per-*type* heterogeneity coefficients from the current
-    /// latency estimates, keyed by (interned) type name.
-    fn coefficients(&self, instances: &[&InstanceView]) -> HashMap<Arc<str>, f64> {
-        // Collect the distinct types present, keeping the base type's position.
-        let mut names: Vec<Arc<str>> = Vec::new();
-        let mut base_pos = 0usize;
-        for inst in instances {
-            if !names.contains(&inst.type_name) {
-                if inst.is_base {
-                    base_pos = names.len();
+    /// One matching round of `queued` against the accepting instances among
+    /// `views`, appending the dispatches to `out` in query order.  Query
+    /// indices refer to `queued`; instance indices are the views' own.
+    pub(crate) fn match_round<'v>(
+        &mut self,
+        now_us: TimeUs,
+        queued: &[Query],
+        views: impl Iterator<Item = &'v InstanceView>,
+        qos_us: u64,
+        out: &mut Vec<Dispatch>,
+    ) {
+        if queued.is_empty() {
+            return;
+        }
+        let Self {
+            predictors,
+            xi,
+            reference_batch,
+            rounds,
+            scratch: s,
+            ..
+        } = self;
+        let qos_ms = qos_us as f64 / 1000.0;
+        s.matrix.begin(qos_ms, *xi);
+        s.types.clear();
+        s.instances.clear();
+
+        // Instance columns.  Draining and retired instances take no new
+        // work: they are left out of the matching entirely (the engine would
+        // reject such dispatches).  Types are numbered as first seen, and
+        // the base type's number anchors the coefficients.
+        let mut base_slot = 0usize;
+        for inst in views.filter(|v| v.accepting) {
+            let slot = match s.types.iter().position(|t| *t == inst.type_name) {
+                Some(slot) => slot,
+                None => {
+                    if inst.is_base {
+                        base_slot = s.types.len();
+                    }
+                    s.types.push(inst.type_name.clone());
+                    s.types.len() - 1
                 }
-                names.push(inst.type_name.clone());
+            };
+            s.matrix
+                .push_column(inst.remaining_us(now_us) as f64 / 1000.0, slot);
+            s.instances.push(inst.instance_index);
+        }
+        if s.instances.is_empty() {
+            return;
+        }
+        *rounds += 1;
+
+        // Query rows: accumulated wait (W_i).
+        for q in queued {
+            s.matrix
+                .push_query(q.waiting_time_us(now_us) as f64 / 1000.0);
+        }
+
+        // Per-type heterogeneity coefficients and predictions, one per
+        // (query, type).  Cold-start optimism: while a type has not produced
+        // enough completions for a latency fit, its predictions are
+        // placeholder values, so a "predicted violation" there carries no
+        // information.  Treating such pairs as feasible lets queries flow
+        // immediately, which is what makes the online learning converge
+        // within the first few queries instead of stalling the queue
+        // (Sec. 5.1 "Kairos starts with a linear model but does not rely on
+        // the model accuracy").
+        s.latencies.clear();
+        s.latencies.extend(
+            s.types
+                .iter()
+                .map(|t| predictors.predict(t, *reference_batch).max(1e-6)),
+        );
+        let coefficients = heterogeneity_coefficients(&s.latencies, base_slot);
+        s.stamp += 1;
+        let stamp = s.stamp;
+        if s.memo.len() < s.types.len() * MEMO_BATCHES {
+            s.memo.resize(s.types.len() * MEMO_BATCHES, (0, 0.0));
+        }
+        for (slot, (t, &coefficient)) in s.types.iter().zip(&coefficients).enumerate() {
+            let predictor = predictors.get(t);
+            let fitted = predictor.is_some_and(|p| p.has_fit());
+            let predict = |batch: u32| {
+                predictor
+                    .map_or(1.0 + batch as f64, |p| p.predict(batch))
+                    .max(1e-3)
+            };
+            let memo = &mut s.memo[slot * MEMO_BATCHES..][..MEMO_BATCHES];
+            s.matrix.push_type(
+                coefficient,
+                fitted,
+                queued
+                    .iter()
+                    .map(|q| match memo.get_mut(q.batch_size as usize) {
+                        Some(hit) if hit.0 == stamp => hit.1,
+                        Some(miss) => {
+                            *miss = (stamp, predict(q.batch_size));
+                            miss.1
+                        }
+                        None => predict(q.batch_size),
+                    }),
+            );
+        }
+        s.matrix.build();
+
+        let (costs, rows, cols) = s.matrix.solver_costs();
+        let Ok(matched) = s.jv.solve(costs, rows, cols) else {
+            return;
+        };
+        s.pairs.clear();
+        if s.matrix.transposed() {
+            s.pairs
+                .extend(matched.iter().enumerate().map(|(j, &i)| (i, j)));
+            s.pairs.sort_unstable();
+        } else {
+            s.pairs.extend(matched.iter().copied().enumerate());
+        }
+        for &(query_index, column) in &s.pairs {
+            // Dispatch feasible pairs immediately.  A pair predicted to
+            // violate QoS is held back for the next round while the query
+            // still has a chance of meeting its target elsewhere; once the
+            // query is doomed anyway (its wait alone exceeds the target) it is
+            // dispatched regardless so the queue cannot grow without bound.
+            if s.matrix.is_feasible(query_index, column)
+                || s.matrix.waited_ms(query_index) >= qos_ms
+            {
+                out.push(Dispatch {
+                    query_index,
+                    instance_index: s.instances[column],
+                });
             }
         }
-        let latencies: Vec<f64> = names
-            .iter()
-            .map(|n| self.predictors.predict(n, self.reference_batch).max(1e-6))
-            .collect();
-        let coeffs = heterogeneity_coefficients(&latencies, base_pos);
-        names.into_iter().zip(coeffs).collect()
     }
 }
 
@@ -125,97 +266,19 @@ impl Scheduler for KairosScheduler {
     }
 
     fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
-        // Draining and retired instances take no new work: exclude them from
-        // the matching entirely (the engine would reject such dispatches).
-        let instances: Vec<&InstanceView> = ctx.instances.iter().filter(|i| i.accepting).collect();
-        if ctx.queued.is_empty() || instances.is_empty() {
-            return Vec::new();
-        }
-        self.rounds += 1;
-        let qos_ms = ctx.qos_us as f64 / 1000.0;
-        let coeffs = self.coefficients(&instances);
+        let mut out = Vec::new();
+        self.schedule_into(ctx, &mut out);
+        out
+    }
 
-        // Query rows: batch size and accumulated wait (W_i).
-        let rows: Vec<QueryRow> = ctx
-            .queued
-            .iter()
-            .map(|q| QueryRow {
-                batch_size: q.batch_size,
-                waited_ms: q.waiting_time_us(ctx.now_us) as f64 / 1000.0,
-            })
-            .collect();
-
-        // Instance columns: remaining busy time, coefficient and predicted
-        // service latency for every queued query.
-        let columns: Vec<InstanceColumn> = instances
-            .iter()
-            .map(|inst| InstanceColumn {
-                remaining_ms: inst.remaining_us(ctx.now_us) as f64 / 1000.0,
-                coefficient: *coeffs.get(&inst.type_name).unwrap_or(&1.0),
-                predicted_service_ms: rows
-                    .iter()
-                    .map(|r| {
-                        self.predictors
-                            .predict(&inst.type_name, r.batch_size)
-                            .max(1e-3)
-                    })
-                    .collect(),
-            })
-            .collect();
-
-        let mut matrices = build_matrices(&rows, &columns, qos_ms, self.xi);
-
-        // Cold-start optimism: while an instance type has not produced enough
-        // completions for a latency fit, its predictions are placeholder
-        // values, so a "predicted violation" there carries no information.
-        // Treating such pairs as feasible lets queries flow immediately, which
-        // is what makes the online learning converge within the first few
-        // queries instead of stalling the queue (Sec. 5.1 "Kairos starts with
-        // a linear model but does not rely on the model accuracy").
-        let type_fitted: Vec<bool> = instances
-            .iter()
-            .map(|inst| {
-                self.predictors
-                    .get(&inst.type_name)
-                    .map(|p| p.has_fit())
-                    .unwrap_or(false)
-            })
-            .collect();
-        for i in 0..rows.len() {
-            for j in 0..columns.len() {
-                if !matrices.feasible[i][j] && !type_fitted[j] {
-                    matrices.feasible[i][j] = true;
-                    matrices.cost.set(
-                        i,
-                        j,
-                        columns[j].coefficient * matrices.completion_ms.get(i, j),
-                    );
-                }
-            }
-        }
-
-        let assignment: Assignment = match solve_jv(&matrices.cost) {
-            Ok(a) => a,
-            Err(_) => return Vec::new(),
-        };
-
-        let mut plan = Vec::new();
-        for (query_index, instance_index) in assignment.pairs() {
-            let feasible = matrices.feasible[query_index][instance_index];
-            let waited_ms = rows[query_index].waited_ms;
-            // Dispatch feasible pairs immediately.  A pair predicted to
-            // violate QoS is held back for the next round while the query
-            // still has a chance of meeting its target elsewhere; once the
-            // query is doomed anyway (its wait alone exceeds the target) it is
-            // dispatched regardless so the queue cannot grow without bound.
-            if feasible || waited_ms >= qos_ms {
-                plan.push(Dispatch {
-                    query_index,
-                    instance_index: instances[instance_index].instance_index,
-                });
-            }
-        }
-        plan
+    fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
+        self.match_round(
+            ctx.now_us,
+            ctx.queued,
+            ctx.instances.iter(),
+            ctx.qos_us,
+            out,
+        );
     }
 
     fn bind_types(&mut self, type_names: &[Arc<str>]) {
@@ -245,8 +308,8 @@ impl Scheduler for KairosScheduler {
 mod tests {
     use super::*;
     use kairos_models::{calibration::paper_calibration, ec2, Config, PoolSpec};
-    use kairos_sim::{engine::run_trace, idle_order, InstanceView, SimulationOptions};
-    use kairos_workload::{Query, TraceSpec};
+    use kairos_sim::{engine::run_trace, idle_order, SimulationOptions};
+    use kairos_workload::TraceSpec;
 
     fn view(
         idx: usize,

@@ -71,7 +71,7 @@ pub use coefficient::heterogeneity_coefficients;
 pub use controller::KairosController;
 pub use distribution::KairosScheduler;
 pub use kairos_plus::{kairos_plus_search, SearchResult};
-pub use lmatrix::{build_matrices, InstanceColumn, LMatrices, QueryRow, DEFAULT_XI};
+pub use lmatrix::DEFAULT_XI;
 pub use planner::{KairosPlanner, Plan, PlanCache};
 pub use selection::select_configuration;
 pub use serverless::ServerlessRuntime;

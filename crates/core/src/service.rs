@@ -49,7 +49,7 @@ use kairos_models::{
     VariantCatalog,
 };
 use kairos_sim::{
-    ClusterSpec, Dispatch, EngineEvent, InstanceView, ModelReport, Scheduler, SchedulingContext,
+    BatchingOptions, ClusterSpec, Dispatch, EngineEvent, ModelReport, Scheduler, SchedulingContext,
     ServiceSpec, SimEngine, SimReport, SimulationOptions,
 };
 use kairos_workload::{MixSpec, ModelId, Query, TimeUs, Trace};
@@ -65,10 +65,9 @@ use std::sync::Arc;
 /// the `(type, model)` indices — no string hashing.
 pub struct MultiScheduler {
     inner: Vec<KairosScheduler>,
-    /// Reusable per-model scratch: sub-queue, global-index map, sub-views.
+    /// Reusable per-model scratch: sub-queue and global-index map.
     queued: Vec<Vec<Query>>,
     qmap: Vec<Vec<usize>>,
-    views: Vec<Vec<InstanceView>>,
 }
 
 impl MultiScheduler {
@@ -80,7 +79,6 @@ impl MultiScheduler {
             inner,
             queued: vec![Vec::new(); n],
             qmap: vec![Vec::new(); n],
-            views: vec![Vec::new(); n],
         }
     }
 }
@@ -109,13 +107,19 @@ impl Scheduler for MultiScheduler {
     }
 
     fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
-        // Partition the round by model.  The per-model sub-context carries
-        // filtered views (instance_index stays global, so inner dispatches
-        // come back in cluster coordinates) and the model's own QoS target.
+        let mut out = Vec::new();
+        self.schedule_into(ctx, &mut out);
+        out
+    }
+
+    fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
+        // Partition the queue by model.  Each model's matching sees its own
+        // queries, the views bound to it (instance indices stay global, so
+        // dispatches come back in cluster coordinates) and its own QoS
+        // target; its query indices are mapped back to the full queue.
         for m in 0..self.inner.len() {
             self.queued[m].clear();
             self.qmap[m].clear();
-            self.views[m].clear();
         }
         for (qi, q) in ctx.queued.iter().enumerate() {
             if let Some(sub) = self.queued.get_mut(q.model.index()) {
@@ -123,37 +127,20 @@ impl Scheduler for MultiScheduler {
                 self.qmap[q.model.index()].push(qi);
             }
         }
-        for view in ctx.instances {
-            if let Some(sub) = self.views.get_mut(view.model.index()) {
-                if view.accepting {
-                    sub.push(view.clone());
-                }
-            }
-        }
-        let mut out = Vec::new();
         for (m, inner) in self.inner.iter_mut().enumerate() {
-            if self.queued[m].is_empty() || self.views[m].is_empty() {
-                continue;
-            }
-            let qos = ctx.qos_for(ModelId::new(m));
-            let sub_ctx = SchedulingContext {
-                now_us: ctx.now_us,
-                queued: &self.queued[m],
-                instances: &self.views[m],
-                // The Kairos matching reads the full view set, not the idle
-                // index; an empty index is valid for it.
-                idle: &[],
-                qos_us: qos,
-                qos_by_model: ctx.qos_by_model,
-            };
-            for d in inner.schedule(&sub_ctx) {
-                out.push(Dispatch {
-                    query_index: self.qmap[m][d.query_index],
-                    instance_index: d.instance_index,
-                });
+            let model = ModelId::new(m);
+            let start = out.len();
+            inner.match_round(
+                ctx.now_us,
+                &self.queued[m],
+                ctx.instances.iter().filter(|v| v.model == model),
+                ctx.qos_for(model),
+                out,
+            );
+            for d in &mut out[start..] {
+                d.query_index = self.qmap[m][d.query_index];
             }
         }
-        out
     }
 }
 
@@ -585,6 +572,12 @@ impl InferenceService {
                 .duration_us()
                 .saturating_add(self.options.market_horizon_slack_us);
             engine = engine.with_market_horizon(market, horizon);
+        }
+        if self.options.batch_max_size > 0 {
+            engine = engine.with_batching(BatchingOptions::new(
+                self.options.batch_max_size,
+                self.options.batch_timeout_us,
+            ));
         }
         // Serverless lanes park between requests: the engine-side policy
         // vector is built from the demands this run was planned for and is
@@ -1481,5 +1474,42 @@ mod tests {
         }
         .generate();
         s.run_sharded(&spec, &services, &trace);
+    }
+
+    /// Multi-model twin of `serving::tests::batching_knobs_drive_the_engine_batcher`:
+    /// the batching option reaches the engine through both serving loops.
+    #[test]
+    fn batching_knobs_drive_the_engine_batcher() {
+        let trace = MixedTraceSpec {
+            arrival: ArrivalProcess::Poisson { rate_qps: 150.0 },
+            mix: mix(),
+            duration_s: 3.0,
+            seed: 23,
+        }
+        .generate();
+        let run = |options: ServingOptions, sharded: bool| {
+            let mut s = service(options.budget(6.0).replan_every(500_000));
+            s.warm_monitors(&mix(), 2000, 5);
+            let spec = s.plan_initial(&[60.0, 45.0, 45.0]).unwrap();
+            let services = s.service_specs(&paper_calibration());
+            if sharded {
+                s.run_sharded(&spec, &services, &trace).report
+            } else {
+                s.run(&spec, &services, &trace).report
+            }
+        };
+        for sharded in [false, true] {
+            let without = run(ServingOptions::default(), sharded);
+            assert_eq!(without.service.batches_fired, 0);
+
+            let with = run(ServingOptions::default().batching(256, 2_000), sharded);
+            assert!(
+                with.service.batches_fired > 0,
+                "the batching knob must reach the engine (sharded: {sharded})"
+            );
+            assert_eq!(with.service.batched_queries, with.service.batch_fill_sum);
+            // Batching must not lose queries.
+            assert_eq!(with.records.len() + with.unfinished.len(), with.offered);
+        }
     }
 }
