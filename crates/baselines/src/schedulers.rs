@@ -24,7 +24,7 @@ use kairos_models::{
     latency::{LatencyProfile, LatencyTable},
     mlmodel::ModelKind,
 };
-use kairos_sim::{Dispatch, FcfsScheduler, Scheduler, SchedulingContext};
+use kairos_sim::{Dispatch, FcfsScheduler, IdleCursors, Scheduler, SchedulingContext};
 use std::sync::Arc;
 
 /// Ribbon's query distribution: FCFS preferring base instances.
@@ -64,14 +64,14 @@ impl Scheduler for RibbonScheduler {
 /// Queries with a batch size strictly greater than the threshold wait for a
 /// base (GPU) instance; queries at or below the threshold wait for an
 /// auxiliary (CPU) instance.  Queries are only dispatched to *idle* instances
-/// of the appropriate class, in FCFS order within each class.
+/// hosting their model in the appropriate class, in FCFS order within each
+/// class.
 #[derive(Debug, Clone, Default)]
 pub struct DrsScheduler {
     /// Batch-size threshold separating GPU-bound from CPU-bound queries.
     pub threshold: u32,
-    /// Reusable per-round scratch: idle base / auxiliary instances.
-    idle_base: Vec<u32>,
-    idle_aux: Vec<u32>,
+    /// Per-round cursors into the context's idle lists.
+    cursors: IdleCursors,
 }
 
 impl DrsScheduler {
@@ -96,53 +96,29 @@ impl Scheduler for DrsScheduler {
     }
 
     fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
-        // The idle index is sorted by instance index within the usable
-        // prefix, so each class list comes out in deterministic FCFS order.
-        self.idle_base.clear();
-        self.idle_aux.clear();
-        for &i in ctx.idle_now() {
-            if ctx.instances[i as usize].is_base {
-                self.idle_base.push(i);
-            } else {
-                self.idle_aux.push(i);
-            }
-        }
+        // Each query takes from its model's class lists, lowest instance
+        // index first, so a round costs O(queries), with no idle scan.
+        self.cursors.reset(ctx.idle);
         // Only consulted when the auxiliary list runs dry with a small query
         // waiting, so resolve it lazily instead of scanning every round.
         let mut homogeneous: Option<bool> = None;
 
-        let mut next_base = 0usize;
-        let mut next_aux = 0usize;
         for (query_index, query) in ctx.queued.iter().enumerate() {
             let target = if query.batch_size > self.threshold {
-                let slot = self.idle_base.get(next_base).copied();
-                if slot.is_some() {
-                    next_base += 1;
-                }
-                slot
+                self.cursors.take(ctx.idle, query.model, true)
             } else {
                 // Small queries prefer auxiliary instances, but may borrow an
                 // idle base instance when no auxiliary exists in the pool at
                 // all (otherwise a homogeneous pool could never serve them).
-                match self.idle_aux.get(next_aux).copied() {
-                    Some(slot) => {
-                        next_aux += 1;
-                        Some(slot)
+                self.cursors.take(ctx.idle, query.model, false).or_else(|| {
+                    let all_base =
+                        *homogeneous.get_or_insert_with(|| ctx.instances.iter().all(|i| i.is_base));
+                    if all_base {
+                        self.cursors.take(ctx.idle, query.model, true)
+                    } else {
+                        None
                     }
-                    None => {
-                        let all_base = *homogeneous
-                            .get_or_insert_with(|| ctx.instances.iter().all(|i| i.is_base));
-                        if all_base {
-                            let slot = self.idle_base.get(next_base).copied();
-                            if slot.is_some() {
-                                next_base += 1;
-                            }
-                            slot
-                        } else {
-                            None
-                        }
-                    }
-                }
+                })
             };
             if let Some(instance_index) = target {
                 out.push(Dispatch {
@@ -377,7 +353,7 @@ impl Scheduler for ClockworkScheduler {
 mod tests {
     use super::*;
     use kairos_models::calibration::paper_calibration;
-    use kairos_sim::{idle_order, InstanceView};
+    use kairos_sim::{IdleIndex, InstanceView};
     use kairos_workload::ModelId;
     use kairos_workload::Query;
 
@@ -401,7 +377,7 @@ mod tests {
             view(0, "r5n.large", false, 0),
             view(1, "g4dn.xlarge", true, 0),
         ];
-        let idle = idle_order(&instances);
+        let idle = IdleIndex::from_views(&instances, 0);
         let ctx = SchedulingContext {
             now_us: 0,
             queued: &queued,
@@ -427,7 +403,7 @@ mod tests {
             view(0, "g4dn.xlarge", true, 0),
             view(1, "r5n.large", false, 0),
         ];
-        let idle = idle_order(&instances);
+        let idle = IdleIndex::from_views(&instances, 0);
         let ctx = SchedulingContext {
             now_us: 0,
             queued: &queued,
@@ -455,7 +431,7 @@ mod tests {
             view(0, "g4dn.xlarge", true, 10_000),
             view(1, "r5n.large", false, 0),
         ];
-        let idle = idle_order(&instances);
+        let idle = IdleIndex::from_views(&instances, 0);
         let ctx = SchedulingContext {
             now_us: 0,
             queued: &queued,
@@ -471,7 +447,7 @@ mod tests {
     fn drs_small_queries_use_base_in_homogeneous_pools() {
         let queued = vec![Query::new(0, 10, 0)];
         let instances = vec![view(0, "g4dn.xlarge", true, 0)];
-        let idle = idle_order(&instances);
+        let idle = IdleIndex::from_views(&instances, 0);
         let ctx = SchedulingContext {
             now_us: 0,
             queued: &queued,
@@ -481,6 +457,46 @@ mod tests {
             qos_by_model: &[],
         };
         assert_eq!(DrsScheduler::new(128).schedule(&ctx).len(), 1);
+    }
+
+    #[test]
+    fn drs_routes_each_query_to_its_own_models_instances() {
+        let m1 = ModelId::new(1);
+        // Model 0 queued first, but only model 1 has an idle GPU and CPU.
+        let queued = vec![
+            Query::new(0, 500, 0),
+            Query::for_model(1, m1, 500, 0),
+            Query::for_model(2, m1, 50, 0),
+        ];
+        let mut instances = vec![
+            view(0, "g4dn.xlarge", true, 0),
+            view(1, "r5n.large", false, 0),
+            view(2, "g4dn.xlarge", true, 900),
+        ];
+        instances[0].model = m1;
+        instances[1].model = m1;
+        let idle = IdleIndex::from_views(&instances, 0);
+        let ctx = SchedulingContext {
+            now_us: 0,
+            queued: &queued,
+            instances: &instances,
+            idle: &idle,
+            qos_us: 25_000,
+            qos_by_model: &[],
+        };
+        assert_eq!(
+            DrsScheduler::new(128).schedule(&ctx),
+            vec![
+                Dispatch {
+                    query_index: 1,
+                    instance_index: 0
+                },
+                Dispatch {
+                    query_index: 2,
+                    instance_index: 1
+                },
+            ]
+        );
     }
 
     #[test]
@@ -502,7 +518,7 @@ mod tests {
             view(0, "r5n.large", false, 0),
             view(1, "g4dn.xlarge", true, 4_000),
         ];
-        let idle = idle_order(&instances);
+        let idle = IdleIndex::from_views(&instances, 0);
         let ctx = SchedulingContext {
             now_us: 0,
             queued: &queued,
@@ -529,7 +545,7 @@ mod tests {
             view(0, "g4dn.xlarge", true, 0),
             view(1, "c5n.2xlarge", false, 0),
         ];
-        let idle = idle_order(&instances);
+        let idle = IdleIndex::from_views(&instances, 0);
         let ctx = SchedulingContext {
             now_us: 0,
             queued: &queued,
@@ -554,7 +570,7 @@ mod tests {
             view(0, "g4dn.xlarge", true, 50_000),
             view(1, "r5n.large", false, 40_000),
         ];
-        let idle = idle_order(&instances);
+        let idle = IdleIndex::from_views(&instances, 0);
         let ctx = SchedulingContext {
             now_us: 0,
             queued: &queued,

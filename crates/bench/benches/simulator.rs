@@ -330,6 +330,79 @@ fn bench_sharded_replay(c: &mut Criterion) {
     group.finish();
 }
 
+/// Engine cost against cluster size: the fig_scale five-model mix (NCF 55 %,
+/// WND 20 %, MT-WND 13 %, DIEN 10 %, RM2 2 %, batch 8) at a fixed 50k QPS
+/// for 0.4 s (~20k queries) under FCFS, replayed on all-base clusters of
+/// about 250, 1,000 and 4,000 instances.  Each lane gets instances in
+/// proportion to its offered load, so the larger clusters only add idle
+/// capacity: per-event cost should not grow with it.  Each row prints its
+/// size and event count; divide the row's mean by the events for ns/event.
+fn bench_large_cluster_replay(c: &mut Criterion) {
+    let pool = PoolSpec::new(ec2::paper_pool());
+    let latency = paper_calibration();
+    let kinds = [
+        ModelKind::Ncf,
+        ModelKind::Wnd,
+        ModelKind::MtWnd,
+        ModelKind::Dien,
+        ModelKind::Rm2,
+    ];
+    let shares = [0.55, 0.20, 0.13, 0.10, 0.02];
+    let (total_qps, batch) = (50_000.0, 8);
+    let services: Vec<ServiceSpec> = kinds
+        .iter()
+        .map(|&k| ServiceSpec::new(k, latency.clone()))
+        .collect();
+    let svc_refs: Vec<&ServiceSpec> = services.iter().collect();
+    let mix = MixSpec::from_shares(
+        &shares,
+        &vec![BatchSizeDistribution::Fixed(batch); kinds.len()],
+    );
+    let trace = MixedTraceSpec::poisson(total_qps, mix, 0.4, 2023).generate();
+    // Busy instances each lane needs on average (its offered load).
+    let base = pool.base_index();
+    let base_name = pool.types()[base].name.clone();
+    let loads: Vec<f64> = kinds
+        .iter()
+        .zip(&shares)
+        .map(|(&kind, &share)| {
+            share * total_qps * latency.expect(kind, &base_name).latency_ms(batch) / 1000.0
+        })
+        .collect();
+    let total_load: f64 = loads.iter().sum();
+    let opts = SimulationOptions::default();
+
+    let mut group = c.benchmark_group("large_cluster_replay");
+    group.sample_size(10);
+    for target in [250usize, 1_000, 4_000] {
+        let headroom = target as f64 / total_load;
+        let spec = ClusterSpec::from_configs(
+            loads
+                .iter()
+                .map(|load| {
+                    let mut counts = vec![0usize; pool.num_types()];
+                    counts[base] = ((load * headroom).ceil() as usize).max(1);
+                    Config::new(counts)
+                })
+                .collect(),
+        );
+        let replay = || {
+            let mut scheduler = FcfsScheduler::new();
+            kairos_sim::SimEngine::new_multi(&pool, &spec, &svc_refs, &trace, &mut scheduler, &opts)
+                .run()
+        };
+        let probe = replay();
+        assert_eq!(probe.completed(), trace.len(), "every query must complete");
+        let instances: usize = spec.pools.iter().map(|p| p.config.total_instances()).sum();
+        println!(
+            "large_cluster_replay/base_{target}: {instances} instances, {} events per replay",
+            probe.events_processed
+        );
+        group.bench_function(format!("base_{target}"), |b| b.iter(|| black_box(replay())));
+    }
+    group.finish();
+}
+
 fn capacity_options(early_exit: bool) -> CapacityOptions {
     CapacityOptions {
         duration_s: 1.0,
@@ -507,6 +580,7 @@ criterion_group!(
     bench_kairos_deep_queue,
     bench_engine_vs_naive_50k,
     bench_sharded_replay,
+    bench_large_cluster_replay,
     bench_rank_configs_sweep,
     bench_rank_configs_variants,
     bench_sparse_mix,

@@ -308,7 +308,7 @@ impl Scheduler for KairosScheduler {
 mod tests {
     use super::*;
     use kairos_models::{calibration::paper_calibration, ec2, Config, PoolSpec};
-    use kairos_sim::{engine::run_trace, idle_order, SimulationOptions};
+    use kairos_sim::{engine::run_trace, IdleIndex, SimulationOptions};
     use kairos_workload::TraceSpec;
 
     fn view(
@@ -344,7 +344,7 @@ mod tests {
             view(0, 2, "r5n.large", false, 0),
             view(1, 0, "g4dn.xlarge", true, 0),
         ];
-        let idle = idle_order(&instances);
+        let idle = IdleIndex::from_views(&instances, 0);
         let ctx = SchedulingContext {
             now_us: 0,
             queued: &queued,
@@ -371,7 +371,7 @@ mod tests {
         // would burn the instance for a guaranteed violation, so Kairos waits.
         let queued = vec![Query::new(0, 900, 0)];
         let instances = vec![view(0, 2, "r5n.large", false, 0)];
-        let idle = idle_order(&instances);
+        let idle = IdleIndex::from_views(&instances, 0);
         let ctx = SchedulingContext {
             now_us: 0,
             queued: &queued,

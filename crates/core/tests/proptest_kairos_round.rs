@@ -15,7 +15,7 @@
 use kairos_assignment::{jv::solve_jv, Assignment, CostMatrix};
 use kairos_core::{heterogeneity_coefficients, KairosScheduler, MultiScheduler, DEFAULT_XI};
 use kairos_models::{calibration::paper_calibration, ec2, mlmodel::ModelKind, MAX_BATCH_SIZE};
-use kairos_sim::{idle_order, Dispatch, InstanceView, Scheduler, SchedulingContext};
+use kairos_sim::{Dispatch, IdleIndex, InstanceView, Scheduler, SchedulingContext};
 use kairos_workload::{ModelId, Query};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -278,7 +278,7 @@ fn random_round(rng: &mut StdRng, names: &[Arc<str>], models: usize) -> Round {
 
 fn context<'a>(
     round: &'a Round,
-    idle: &'a [u32],
+    idle: &'a IdleIndex,
     qos_by_model: &'a [u64],
 ) -> SchedulingContext<'a> {
     SchedulingContext {
@@ -304,7 +304,7 @@ proptest! {
         let mut expected_rounds = 0;
         for _ in 0..3 {
             let round = random_round(&mut rng, &names, 1);
-            let idle = idle_order(&round.views);
+            let idle = IdleIndex::from_views(&round.views, round.now_us);
             let ctx = context(&round, &idle, &[]);
             let expected = reference_round(&kairos, xi, &ctx);
             if round.views.iter().any(|v| v.accepting) {
@@ -334,7 +334,8 @@ proptest! {
             (0..models).map(|_| [5_000u64, 25_000, 350_000][rng.gen_range(0..3usize)]).collect();
         for _ in 0..2 {
             let round = random_round(&mut rng, &names, models);
-            let ctx = context(&round, &[], &qos_by_model);
+            let no_idle = IdleIndex::default();
+            let ctx = context(&round, &no_idle, &qos_by_model);
             let mut expected = Vec::new();
             for (m, (kairos, xi)) in inner.iter().enumerate() {
                 let model = ModelId::new(m);
@@ -347,7 +348,7 @@ proptest! {
                     now_us: round.now_us,
                     queued: &queued,
                     instances: &views,
-                    idle: &[],
+                    idle: &no_idle,
                     qos_us: ctx.qos_for(model),
                     qos_by_model: &qos_by_model,
                 };

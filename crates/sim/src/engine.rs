@@ -17,9 +17,9 @@
 //! callers (the capacity search, Kairos+, the baseline searches and the
 //! bench harness) all drive simulations through one API.  Steady-state
 //! execution performs **zero heap allocations**; per-event work is
-//! proportional to the instances the event touches plus — only on rounds
-//! where queries are actually waiting — an O(idle instances) clock clamp,
-//! never a full-cluster, queue-walking sweep.
+//! proportional to the instances the event touches and, in a scheduling
+//! round, to the queries the policy considers and the dispatches it makes —
+//! never to the cluster's size or its idle set.
 //! The moving parts (see DESIGN.md, "Hot-path architecture"):
 //!
 //! * **Arrival cursor + event calendar** — trace arrivals are never
@@ -30,14 +30,20 @@
 //!   granularity.
 //! * **Incremental views** — each [`InstanceView`] is updated at the moment
 //!   its instance changes (dispatch, service start, completion, lifecycle),
-//!   never by sweeping the cluster.  Idle instances' `free_at_us` tracks the
-//!   clock lazily via the idle index below.
-//! * **Idle-instance index** — the engine maintains the dispatchable
-//!   backlog-free instances as a sorted index
-//!   ([`SchedulingContext::idle`]), split into a free list (boundary
-//!   passed, sorted by instance index) and a pending list (still
-//!   provisioning, sorted by ready time); entries migrate as the clock
-//!   passes their provisioning boundary.
+//!   never by sweeping the cluster.  An idle view keeps the `free_at_us` of
+//!   the moment it went idle (always `<= now`), so no round re-stamps idle
+//!   views to the clock.
+//! * **Idle-instance index** — the dispatchable backlog-free instances
+//!   whose provisioning boundary has passed live in an [`IdleIndex`]: one
+//!   list per `(model, class)`, class being base or auxiliary type, each
+//!   sorted by instance index (highest first, so the preferred low indices
+//!   sit at the tail where FCFS takes and completions return).  The scheduler reads it as
+//!   [`SchedulingContext::idle`] without a copy; FCFS and DRS take from a
+//!   query's model lists with per-round cursors, so their rounds cost
+//!   O(queries considered + dispatches).  Instances still provisioning
+//!   wait in a separate pending list sorted by `(boundary, index)`; each
+//!   round drains the prefix whose boundary has passed (one binary search)
+//!   into the class lists.
 //! * **Scratch buffers** — the dispatch plan, the duplicate-dispatch marks
 //!   (generation-stamped, never cleared), and the removal sweep all reuse
 //!   engine-owned buffers; [`Scheduler::schedule_into`] lets policies fill
@@ -75,7 +81,7 @@
 use crate::calendar::{EventCalendar, TimedEvent, TimedKind};
 use crate::cluster::{Cluster, ClusterSpec, InstanceLifecycle, ServiceSpec};
 use crate::flex::{ActiveUnit, BatchingOptions, FlexConfig, FlexState, SharingMode, WorkUnit};
-use crate::scheduler::{idle_order, Dispatch, InstanceView, Scheduler, SchedulingContext};
+use crate::scheduler::{Dispatch, IdleIndex, InstanceView, Scheduler, SchedulingContext};
 use crate::serverless::{ServerlessConfig, ServerlessState};
 use crate::stats::{OutageRecord, QueryRecord, ServiceStats, SimReport, UnfinishedQuery};
 use kairos_models::fault::{
@@ -434,13 +440,13 @@ pub struct SimEngine<'a> {
     /// Total queries sitting in local queues (excluding those in service).
     local_queued: usize,
     /// Dispatchable backlog-free instances whose provisioning boundary has
-    /// passed, sorted by instance index.
-    idle_free: Vec<u32>,
+    /// passed, one list per `(model, class)` sorted by instance index,
+    /// highest first — handed to the scheduler as
+    /// [`SchedulingContext::idle`].
+    idle: IdleIndex,
     /// Dispatchable backlog-free instances still provisioning, sorted by
     /// `(available_from_us, instance index)`.
     idle_pending: Vec<u32>,
-    /// Concatenation of the two lists handed to the scheduler each round.
-    idle_ctx: Vec<u32>,
     /// Reusable dispatch-plan buffer (filled by `Scheduler::schedule_into`).
     scratch_plan: Vec<Dispatch>,
     /// Reusable removal-sweep index buffer.
@@ -658,11 +664,10 @@ impl<'a> SimEngine<'a> {
         };
 
         let views = build_views_naive(&cluster, &services, 0);
-        let idle_free: Vec<u32> = views
-            .iter()
-            .filter(|v| v.accepting && v.backlog == 0)
-            .map(|v| v.instance_index as u32)
-            .collect();
+        let mut idle = IdleIndex::new(services.len());
+        for v in views.iter().filter(|v| v.accepting && v.backlog == 0) {
+            idle.insert(v.model, v.is_base, v.instance_index as u32);
+        }
         let local_nominal_us = vec![0; cluster.len()];
         let billed_start_us = vec![0; cluster.len()];
         let offered = arrivals.len();
@@ -692,9 +697,8 @@ impl<'a> SimEngine<'a> {
             views,
             local_nominal_us,
             local_queued: 0,
-            idle_free,
+            idle,
             idle_pending: Vec::new(),
-            idle_ctx: Vec::new(),
             scratch_plan: Vec::new(),
             scratch_removed: Vec::new(),
             dispatch_marks: Vec::new(),
@@ -851,8 +855,7 @@ impl<'a> SimEngine<'a> {
         self.serverless = Some(config);
         // Instances idle at construction start their first tracked idle
         // period (and keep-alive countdown) at t = 0.
-        let idle: Vec<u32> = self.idle_free.clone();
-        for i in idle {
+        for i in self.idle.usable() {
             self.serverless_arm(i as usize);
         }
         self
@@ -873,7 +876,9 @@ impl<'a> SimEngine<'a> {
         }
         self.flex_states = (0..self.cluster.len())
             .map(|i| FlexState {
-                in_idle: self.idle_free.binary_search(&(i as u32)).is_ok(),
+                in_idle: self
+                    .idle
+                    .contains(self.views[i].model, self.views[i].is_base, i as u32),
                 ..FlexState::default()
             })
             .collect();
@@ -1080,15 +1085,17 @@ impl<'a> SimEngine<'a> {
     /// subtraction, so the value is unobservable); this accessor clamps
     /// them to `now` so the oracle comparison against
     /// [`Self::recompute_views`] stays bit-for-bit.
-    pub fn scheduler_views(&mut self) -> (&[InstanceView], &[u32]) {
+    ///
+    /// Returns the views, the idle index and the pending list (instances
+    /// still provisioning, by `(boundary, index)`): `idle.usable()` followed
+    /// by the pending list is [`idle_order`](crate::idle_order) of the
+    /// recomputed views.
+    pub fn scheduler_views(&mut self) -> (&[InstanceView], &IdleIndex, &[u32]) {
         self.prepare_round();
-        for &i in &self.idle_free {
+        for i in self.idle.iter() {
             self.views[i as usize].free_at_us = self.now;
         }
-        self.idle_ctx.clear();
-        self.idle_ctx.extend_from_slice(&self.idle_free);
-        self.idle_ctx.extend_from_slice(&self.idle_pending);
-        (&self.views, &self.idle_ctx)
+        (&self.views, &self.idle, &self.idle_pending)
     }
 
     /// Processes the next event, consulting the scheduler afterwards.
@@ -1973,11 +1980,8 @@ impl<'a> SimEngine<'a> {
             view.backlog = 0;
             view.free_at_us = self.now;
             if accepting {
-                let pos = self
-                    .idle_free
-                    .binary_search(&(instance_index as u32))
-                    .unwrap_err();
-                self.idle_free.insert(pos, instance_index as u32);
+                self.idle
+                    .insert(view.model, view.is_base, instance_index as u32);
                 if self.serverless.is_some() {
                     self.serverless_arm(instance_index);
                 }
@@ -1987,9 +1991,15 @@ impl<'a> SimEngine<'a> {
 
     /// Removes an instance from whichever idle list holds it.
     fn remove_idle(&mut self, instance_index: u32) {
-        if let Ok(pos) = self.idle_free.binary_search(&instance_index) {
-            self.idle_free.remove(pos);
-        } else if let Some(pos) = self.idle_pending.iter().position(|&i| i == instance_index) {
+        let view = &self.views[instance_index as usize];
+        if self.idle.remove(view.model, view.is_base, instance_index) {
+            return;
+        }
+        // Not usable yet, so still provisioning.  The pending list holds
+        // only instances added mid-run whose boundary is still ahead of the
+        // clock — bounded by the provisioning actions in flight, not by the
+        // cluster's size — so a linear scan stays cheap.
+        if let Some(pos) = self.idle_pending.iter().position(|&i| i == instance_index) {
             self.idle_pending.remove(pos);
         } else {
             debug_assert!(false, "idle instance {instance_index} not indexed");
@@ -2012,34 +2022,22 @@ impl<'a> SimEngine<'a> {
     }
 
     /// Brings the idle index up to the current clock: pending instances
-    /// whose provisioning boundary has passed migrate to the free list.
-    /// O(migrations) in the common all-provisioned case.  Free-list views
-    /// keep the `free_at_us` of the moment they went idle — always `<=
-    /// now`, so `is_idle`/`idle_now`/`remaining_us` read them correctly
-    /// without an O(idle) clamp sweep per round (the clamp that policies
-    /// could observe lives in [`SimEngine::scheduler_views`]).
+    /// whose provisioning boundary has passed migrate to their class list.
+    /// The pending list is sorted by boundary, so the migrating prefix is
+    /// found by one binary search and drained at once: O(log pending +
+    /// migrations).  Indexed views keep the `free_at_us` of the moment they
+    /// went idle — always `<= now`, so `is_idle`/`remaining_us` read them
+    /// correctly without an O(idle) clamp sweep per round (the clamp that
+    /// policies could observe lives in [`SimEngine::scheduler_views`]).
     fn prepare_round(&mut self) {
-        while let Some(&head) = self.idle_pending.first() {
-            if self.cluster.instances()[head as usize].available_from_us > self.now {
-                break;
-            }
-            self.idle_pending.remove(0);
-            let pos = self.idle_free.binary_search(&head).unwrap_err();
-            self.idle_free.insert(pos, head);
+        let (instances, now) = (self.cluster.instances(), self.now);
+        let cut = self
+            .idle_pending
+            .partition_point(|&i| instances[i as usize].available_from_us <= now);
+        for i in self.idle_pending.drain(..cut) {
+            let view = &self.views[i as usize];
+            self.idle.insert(view.model, view.is_base, i);
         }
-    }
-
-    /// The idle slice handed to the scheduler: the free list itself when
-    /// nothing is provisioning (no copy), otherwise the concatenation
-    /// `free ++ pending` staged in `idle_ctx`.
-    fn stage_idle_ctx(&mut self) -> bool {
-        if self.idle_pending.is_empty() {
-            return false;
-        }
-        self.idle_ctx.clear();
-        self.idle_ctx.extend_from_slice(&self.idle_free);
-        self.idle_ctx.extend_from_slice(&self.idle_pending);
-        true
     }
 
     /// Consults the scheduler and applies its dispatch decisions.  On the
@@ -2066,20 +2064,14 @@ impl<'a> SimEngine<'a> {
             return 0;
         }
         self.prepare_round();
-        let staged = self.stage_idle_ctx();
         let mut plan = std::mem::take(&mut self.scratch_plan);
         plan.clear();
         {
-            let idle: &[u32] = if staged {
-                &self.idle_ctx
-            } else {
-                &self.idle_free
-            };
             let ctx = SchedulingContext {
                 now_us: self.now,
                 queued: &self.central_queue[self.queue_head..],
                 instances: &self.views,
-                idle,
+                idle: &self.idle,
                 qos_us: self.qos_us,
                 qos_by_model: &self.qos_by_model,
             };
@@ -2610,8 +2602,8 @@ impl<'a> SimEngine<'a> {
             if available_from_us > self.now {
                 self.insert_idle_pending(i as u32);
             } else {
-                let pos = self.idle_free.binary_search(&(i as u32)).unwrap_err();
-                self.idle_free.insert(pos, i as u32);
+                let view = &self.views[i];
+                self.idle.insert(view.model, view.is_base, i as u32);
             }
         } else {
             self.remove_idle(i as u32);
@@ -2841,7 +2833,7 @@ pub fn run_trace_naive(
             return;
         }
         let views = build_views_naive(cluster, &[service], now);
-        let idle = idle_order(&views);
+        let idle = IdleIndex::from_views(&views, now);
         let qos_by_model = [qos_us];
         let ctx = SchedulingContext {
             now_us: now,
@@ -4017,16 +4009,194 @@ mod tests {
         let mut steps = 0usize;
         while engine.step() {
             let reference = engine.recompute_views();
-            let reference_idle = idle_order(&reference);
-            let (views, idle) = engine.scheduler_views();
+            let reference_idle = crate::idle_order(&reference);
+            let now = engine.now();
+            let (views, idle, pending) = engine.scheduler_views();
             assert_eq!(views, &reference[..], "views diverged at step {steps}");
-            assert_eq!(idle, &reference_idle[..], "idle diverged at step {steps}");
+            for base in [true, false] {
+                let class: Vec<u32> = reference_idle
+                    .iter()
+                    .copied()
+                    .filter(|&i| {
+                        let v = &reference[i as usize];
+                        v.is_base == base && v.free_at_us <= now
+                    })
+                    .rev()
+                    .collect();
+                assert_eq!(idle.of(ModelId::DEFAULT, base), &class[..], "step {steps}");
+            }
+            let mut flat = idle.usable();
+            flat.extend_from_slice(pending);
+            assert_eq!(flat, reference_idle, "idle diverged at step {steps}");
             steps += 1;
         }
         assert!(
             steps > trace.len(),
             "simulation should process every arrival"
         );
+    }
+
+    /// The idle index as recomputed from scratch: every dispatchable
+    /// instance — backlog-free and accepting on the legacy path, open for
+    /// another query on the flex path — in its `(model, class)` list once
+    /// its provisioning boundary has passed, else in the pending list by
+    /// `(boundary, index)`.
+    fn recomputed_idle(engine: &SimEngine<'_>) -> (IdleIndex, Vec<u32>) {
+        let mut idle = IdleIndex::new(engine.services.len());
+        let mut pending = Vec::new();
+        for (i, inst) in engine.cluster.instances().iter().enumerate() {
+            let dispatchable = match &engine.flex {
+                None => inst.accepts_dispatches() && inst.backlog() == 0,
+                Some(config) => {
+                    let st = &engine.flex_states[i];
+                    let cap = config.concurrency_cap();
+                    let open = match config.batching {
+                        Some(b) => st.forming_fused < b.max_batch_size && st.queued.is_empty(),
+                        None => {
+                            st.queued.is_empty() && (cap == 0 || (st.active.len() as u32) < cap)
+                        }
+                    };
+                    inst.accepts_dispatches() && open
+                }
+            };
+            if !dispatchable {
+                continue;
+            }
+            if inst.available_from_us <= engine.now {
+                idle.insert(inst.model, inst.is_base, i as u32);
+            } else {
+                pending.push(i as u32);
+            }
+        }
+        let instances = engine.cluster.instances();
+        pending.sort_by_key(|&i| (instances[i as usize].available_from_us, i));
+        (idle, pending)
+    }
+
+    /// Two models on a base + spot-auxiliary pool, replayed through
+    /// reconfiguration (adds with and without provisioning delay, a
+    /// retirement), a spot preemption kill, a zone outage and a straggler:
+    /// after every step each `(model, class)` idle list and the pending list
+    /// match [`recomputed_idle`], and on the legacy path also the reference
+    /// views' [`idle_order`](crate::idle_order) filtered to that class
+    /// (reversed: the lists keep the highest index first).
+    fn check_multi_model_idle_index(flex: Option<SharingMode>) {
+        use kairos_models::fault::{FailureDomain, FaultEvent, FaultProcess};
+        let (catalog, market) = spot_setup(250_000, 40_000);
+        let pool = catalog.effective_pool();
+        let services = [
+            ServiceSpec::new(ModelKind::Wnd, paper_calibration()),
+            ServiceSpec::new(ModelKind::Ncf, paper_calibration()),
+        ];
+        let service_refs: Vec<&ServiceSpec> = services.iter().collect();
+        let spec =
+            ClusterSpec::from_configs(vec![Config::new(vec![2, 2]), Config::new(vec![1, 3])]);
+        let queries: Vec<Query> = TraceSpec::production(900.0, 0.8, 17)
+            .generate()
+            .queries
+            .iter()
+            .map(|q| {
+                Query::for_model(
+                    q.id,
+                    ModelId::new((q.id % 2) as usize),
+                    q.batch_size,
+                    q.arrival_us,
+                )
+            })
+            .collect();
+        let trace = Trace::from_queries(queries);
+        let zone_a = FailureDomain::zone("us-east-1", "us-east-1a");
+        let zone_b = FailureDomain::zone("us-east-1", "us-east-1b");
+        let faults = FaultProcess::new(vec![
+            FaultEvent::ZoneOutage {
+                domain: zone_a.clone(),
+                start_us: 450_000,
+                duration_us: 150_000,
+            },
+            FaultEvent::Straggler {
+                at_us: 100_000,
+                offering: 1,
+                slowdown: 0.5,
+            },
+        ]);
+        let mut scheduler = FcfsScheduler::new();
+        let mut engine = SimEngine::new_multi(
+            &pool,
+            &spec,
+            &service_refs,
+            &trace,
+            &mut scheduler,
+            &SimulationOptions { seed: 9 },
+        )
+        .with_market(&market)
+        .with_faults(&faults, &[zone_a, zone_b]);
+        if let Some(mode) = flex {
+            engine = engine.with_sharing(mode);
+        }
+        let legacy = engine.flex.is_none();
+        let mut steps = 0usize;
+        while engine.step() {
+            steps += 1;
+            match steps {
+                40 => {
+                    engine.add_instance_for(ModelId::new(1), 0, 0);
+                    engine.add_instance_for(ModelId::new(0), 1, 60_000);
+                    engine.add_instance_for(ModelId::new(1), 1, 60_000);
+                }
+                120 => engine.retire_instance(1),
+                200 => {
+                    engine.add_instance_for(ModelId::new(0), 0, 30_000);
+                }
+                _ => {}
+            }
+            let (expect_idle, expect_pending) = recomputed_idle(&engine);
+            let reference = engine.recompute_views();
+            let reference_idle = crate::idle_order(&reference);
+            let now = engine.now();
+            let (_, idle, pending) = engine.scheduler_views();
+            assert_eq!(pending, &expect_pending[..], "pending at step {steps}");
+            for model in [ModelId::new(0), ModelId::new(1)] {
+                for base in [true, false] {
+                    let got = idle.of(model, base);
+                    assert_eq!(
+                        got,
+                        expect_idle.of(model, base),
+                        "{model}/{base} at step {steps}"
+                    );
+                    if legacy {
+                        let class: Vec<u32> = reference_idle
+                            .iter()
+                            .copied()
+                            .filter(|&i| {
+                                let v = &reference[i as usize];
+                                v.model == model && v.is_base == base && v.free_at_us <= now
+                            })
+                            .rev()
+                            .collect();
+                        assert_eq!(got, &class[..], "{model}/{base} at step {steps}");
+                    }
+                }
+            }
+        }
+        let report = engine.report();
+        assert!(report.preempted_instances > 0, "the spot kill must land");
+        assert_eq!(report.outages.len(), 1, "the outage must land");
+        assert_eq!(report.straggler_onsets, 1, "the straggler must land");
+        assert!(steps > 2 * trace.len() / 2, "the run must get going");
+    }
+
+    #[test]
+    fn multi_model_idle_index_matches_reference_through_reconfig_kills_and_faults() {
+        check_multi_model_idle_index(None);
+    }
+
+    #[test]
+    fn multi_model_flex_idle_index_matches_reference_through_reconfig_kills_and_faults() {
+        use crate::flex::SharingOptions;
+        use kairos_models::ThroughputDegradation;
+        check_multi_model_idle_index(Some(SharingMode::Fair(
+            SharingOptions::uniform(ThroughputDegradation::TimeSliced).with_max_concurrency(2),
+        )));
     }
 
     #[test]

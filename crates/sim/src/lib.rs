@@ -71,7 +71,8 @@ pub use engine::{
 };
 pub use flex::{BatchingOptions, SharingMode, SharingOptions};
 pub use scheduler::{
-    idle_order, Dispatch, FcfsScheduler, InstanceView, Scheduler, SchedulingContext,
+    idle_order, Dispatch, FcfsScheduler, IdleCursors, IdleIndex, InstanceView, Scheduler,
+    SchedulingContext,
 };
 pub use serverless::ServerlessConfig;
 pub use sharded::ShardedEngine;

@@ -20,11 +20,16 @@
 //!   scratch (the FCFS baseline here, the `kairos-baselines` schedulers)
 //!   override it; the default delegates to [`Scheduler::schedule`] so simple
 //!   or test policies only implement the allocating form.
-//! * [`SchedulingContext::idle`] is an engine-maintained index of the
-//!   dispatchable instances — the immediately usable ones in instance-index
-//!   order, then the still-provisioning ones by `(provisioning boundary,
-//!   instance_index)` — so idle-dispatch policies need not scan (or
-//!   re-sort) every view.
+//! * [`SchedulingContext::idle`] is an engine-maintained [`IdleIndex`] of
+//!   the immediately dispatchable instances: one list per `(model, class)`,
+//!   class being the pool's base type or an auxiliary type, each sorted by
+//!   instance index (highest first).  Idle-dispatch policies read their
+//!   query's model lists directly ([`IdleIndex::of`]) and take
+//!   from them with [`IdleCursors`], so a round's cost follows the queries
+//!   it considers and the dispatches it makes — no scan, copy or sort of
+//!   the cluster's idle set.
+//!   Instances still provisioning are not in the index; their views carry
+//!   the provisioning boundary as `free_at_us`.
 //! * [`Scheduler::on_completion`] identifies the serving instance by its
 //!   *pool type index* and the served model by its [`ModelId`] index, not
 //!   strings, so completion-time learning needs no string hashing;
@@ -102,16 +107,15 @@ pub struct SchedulingContext<'a> {
     pub queued: &'a [Query],
     /// View of every instance in the cluster.
     pub instances: &'a [InstanceView],
-    /// Indices (into [`Self::instances`]) of the *dispatchable* backlog-free
-    /// instances — accepting, nothing serving, nothing queued locally.  The
-    /// immediately usable ones (`free_at_us <= now_us`) come first in
-    /// instance-index order; instances still provisioning (`free_at_us >
-    /// now_us`) follow, sorted by `(provisioning boundary, instance
-    /// index)`.  [`Self::idle_now`] yields just the usable prefix.
+    /// The *dispatchable* backlog-free instances usable right now —
+    /// accepting, nothing serving, nothing queued locally, provisioning
+    /// boundary passed — as one list per `(model, class)`, each sorted by
+    /// instance index, highest first (see [`IdleIndex`]).
     ///
     /// Maintained incrementally by the engine so policies that only dispatch
-    /// to idle instances never scan the full view array.
-    pub idle: &'a [u32],
+    /// to idle instances never scan the full view array.  Hand-built
+    /// contexts derive it with [`IdleIndex::from_views`].
+    pub idle: &'a IdleIndex,
     /// QoS target of the primary ([`ModelId::DEFAULT`]) model, in
     /// microseconds.  Single-model policies may read this directly;
     /// multi-model policies should resolve per query via
@@ -124,15 +128,6 @@ pub struct SchedulingContext<'a> {
 }
 
 impl SchedulingContext<'_> {
-    /// The prefix of [`Self::idle`] that is usable *right now* (provisioning
-    /// boundary passed), still sorted by instance index.
-    pub fn idle_now(&self) -> &[u32] {
-        let cut = self
-            .idle
-            .partition_point(|&i| self.instances[i as usize].free_at_us <= self.now_us);
-        &self.idle[..cut]
-    }
-
     /// QoS target of a model in microseconds — an array index, never a
     /// string lookup.  Falls back to [`Self::qos_us`] when the table does
     /// not cover the model (hand-built single-model contexts).
@@ -145,14 +140,14 @@ impl SchedulingContext<'_> {
     }
 }
 
-/// Reference computation of [`SchedulingContext::idle`] from a view array:
-/// the dispatchable backlog-free instances sorted by `(free_at_us,
-/// instance_index)`.  The ordering is purely view-derived — the clock enters
-/// only later, through [`SchedulingContext::idle_now`]'s usable-prefix cut.
+/// Reference ordering of the dispatchable backlog-free instances of a view
+/// array, sorted by `(free_at_us, instance_index)`: the usable ones (idle
+/// since some time `<= now`, which the reference views clamp to `now`) in
+/// instance-index order, then the still-provisioning ones by boundary.
 ///
-/// This is the oracle the engine's incremental index is tested against, and
-/// what [`crate::engine::run_trace_naive`] rebuilds every round; tests that
-/// hand-construct a [`SchedulingContext`] should use it too.
+/// This is the oracle the engine's incremental idle index and its pending
+/// list are tested against: filtered to one `(model, class)` and to
+/// `free_at_us <= now`, it is that class's [`IdleIndex`] list reversed.
 pub fn idle_order(views: &[InstanceView]) -> Vec<u32> {
     let mut idle: Vec<u32> = views
         .iter()
@@ -161,6 +156,149 @@ pub fn idle_order(views: &[InstanceView]) -> Vec<u32> {
         .collect();
     idle.sort_by_key(|&i| (views[i as usize].free_at_us, i));
     idle
+}
+
+/// The immediately dispatchable instances, indexed by `(model, class)`:
+/// class is the pool's base type or an auxiliary type, and each list is
+/// sorted by instance index, **highest first**.
+///
+/// The engine keeps one index and updates it where an instance's
+/// dispatchability changes (service start and completion, reconfiguration,
+/// preemption, faults, the flex path, the provisioning boundary passing), so
+/// reading a model's lists is free.  The descending order puts the
+/// preferred lowest-index instances at the tail: FCFS takes from the low
+/// end and completions mostly return there, so both touch the tail of the
+/// list instead of shifting the whole of it.
+#[derive(Debug, Clone, Default)]
+pub struct IdleIndex {
+    /// `lists[2 * model + class]`, class 0 = base, 1 = auxiliary.
+    lists: Vec<Vec<u32>>,
+}
+
+impl IdleIndex {
+    /// An empty index sized for `num_models` served models.
+    pub fn new(num_models: usize) -> Self {
+        Self {
+            lists: vec![Vec::new(); 2 * num_models],
+        }
+    }
+
+    /// Builds the index from a view array: every accepting, backlog-free
+    /// instance whose `free_at_us <= now_us`.  For hand-built scheduling
+    /// contexts and reference checks; the engine maintains its index
+    /// incrementally.
+    pub fn from_views(views: &[InstanceView], now_us: TimeUs) -> Self {
+        let mut index = Self::default();
+        for v in views
+            .iter()
+            .filter(|v| v.accepting && v.backlog == 0 && v.free_at_us <= now_us)
+        {
+            index.insert(v.model, v.is_base, v.instance_index as u32);
+        }
+        index
+    }
+
+    #[inline]
+    fn slot(model: ModelId, base: bool) -> usize {
+        2 * model.index() + usize::from(!base)
+    }
+
+    /// The idle instances hosting `model` in one class, sorted by instance
+    /// index, highest first (empty for a model the index has never seen).
+    #[inline]
+    pub fn of(&self, model: ModelId, base: bool) -> &[u32] {
+        self.lists
+            .get(Self::slot(model, base))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Number of models the index has lists for.
+    pub fn num_models(&self) -> usize {
+        self.lists.len() / 2
+    }
+
+    /// Total idle instances across every list.
+    pub fn len(&self) -> usize {
+        self.lists.iter().map(Vec::len).sum()
+    }
+
+    /// Whether no instance is idle.
+    pub fn is_empty(&self) -> bool {
+        self.lists.iter().all(Vec::is_empty)
+    }
+
+    /// Every indexed instance, list by list (not in instance-index order).
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.lists.iter().flatten().copied()
+    }
+
+    /// Every indexed instance in instance-index order — the flat usable
+    /// order, derived from the lists.  Allocates; not for the hot path.
+    pub fn usable(&self) -> Vec<u32> {
+        let mut all: Vec<u32> = self.iter().collect();
+        all.sort_unstable();
+        all
+    }
+
+    /// Whether instance `index` is in `model`'s `base`/auxiliary list.
+    pub(crate) fn contains(&self, model: ModelId, base: bool, index: u32) -> bool {
+        self.of(model, base)
+            .binary_search_by(|x| index.cmp(x))
+            .is_ok()
+    }
+
+    /// Indexes instance `index` (not already present) in its list.
+    pub(crate) fn insert(&mut self, model: ModelId, base: bool, index: u32) {
+        let slot = Self::slot(model, base);
+        if slot >= self.lists.len() {
+            self.lists.resize(slot + 2 - slot % 2, Vec::new());
+        }
+        let list = &mut self.lists[slot];
+        let pos = list.binary_search_by(|x| index.cmp(x)).unwrap_err();
+        list.insert(pos, index);
+    }
+
+    /// Removes instance `index` from its list; `false` if it was not there.
+    pub(crate) fn remove(&mut self, model: ModelId, base: bool, index: u32) -> bool {
+        let Some(list) = self.lists.get_mut(Self::slot(model, base)) else {
+            return false;
+        };
+        match list.binary_search_by(|x| index.cmp(x)) {
+            Ok(pos) => {
+                list.remove(pos);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+}
+
+/// Per-round cursors over an [`IdleIndex`]: hands out each `(model, class)`
+/// list lowest instance index first, so successive takes in one round never
+/// return the same instance and cost O(1) each.  Policies keep one as
+/// scratch and [`reset`](Self::reset) it at the start of every round.
+#[derive(Debug, Default, Clone)]
+pub struct IdleCursors {
+    /// Per list: how many instances are still untaken (the list's head).
+    left: Vec<usize>,
+}
+
+impl IdleCursors {
+    /// Makes every instance of `idle` available again.
+    pub fn reset(&mut self, idle: &IdleIndex) {
+        self.left.clear();
+        self.left.extend(idle.lists.iter().map(Vec::len));
+    }
+
+    /// Takes the lowest-index instance of `model`'s `base`/auxiliary list
+    /// not yet taken this round.
+    #[inline]
+    pub fn take(&mut self, idle: &IdleIndex, model: ModelId, base: bool) -> Option<u32> {
+        let slot = IdleIndex::slot(model, base);
+        let left = self.left.get_mut(slot).filter(|left| **left > 0)?;
+        *left -= 1;
+        Some(idle.lists[slot][*left])
+    }
 }
 
 /// A dispatch decision: send `queued[query_index]` to `instances[instance_index]`.
@@ -237,11 +375,8 @@ pub trait Scheduler {
 /// policy reduces exactly to the classic slot-by-slot pairing.
 #[derive(Debug, Default, Clone)]
 pub struct FcfsScheduler {
-    /// Reusable ordering scratch (idle instances, base type first).
-    order: Vec<u32>,
-    /// Reusable taken-marks over the idle order (generation-stamped).
-    taken: Vec<u64>,
-    generation: u64,
+    /// Per-round cursors into the context's idle lists.
+    cursors: IdleCursors,
 }
 
 impl FcfsScheduler {
@@ -263,38 +398,23 @@ impl Scheduler for FcfsScheduler {
     }
 
     fn schedule_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<Dispatch>) {
-        // Idle instances, base type first (Ribbon "prefers instances of the
-        // base type when multiple instances are available").
-        self.order.clear();
-        self.order.extend_from_slice(ctx.idle_now());
-        self.order
-            .sort_unstable_by_key(|&i| (!ctx.instances[i as usize].is_base, i));
-        self.generation += 1;
-        if self.taken.len() < self.order.len() {
-            self.taken.resize(self.order.len(), 0);
-        }
-        let mut free_slots = self.order.len();
-        // Oldest query first: each takes the first untaken idle instance
-        // bound to its model.  On a single-model cluster every instance
-        // matches, so query k pairs with idle slot k exactly as before.
-        // `start` skips the fully-taken prefix so the single-model round is
-        // O(min(queries, idle)) — slots are always consumed front to back
-        // there, and a multi-model scan never re-walks dead slots.
-        let mut start = 0usize;
+        // Oldest query first: each takes its model's lowest-index idle base
+        // instance, else its lowest-index idle auxiliary one (Ribbon
+        // "prefers instances of the base type when multiple instances are
+        // available").  On a single-model cluster query k pairs with the
+        // k-th idle instance in (base first, index) order.
+        let mut free = ctx.idle.len();
+        self.cursors.reset(ctx.idle);
         for (query_index, query) in ctx.queued.iter().enumerate() {
-            if free_slots == 0 {
+            if free == 0 {
                 break;
             }
-            while start < self.order.len() && self.taken[start] == self.generation {
-                start += 1;
-            }
-            let slot = self.order[start..].iter().enumerate().find(|&(off, &i)| {
-                self.taken[start + off] != self.generation
-                    && ctx.instances[i as usize].model == query.model
-            });
-            if let Some((off, &i)) = slot {
-                self.taken[start + off] = self.generation;
-                free_slots -= 1;
+            let slot = self
+                .cursors
+                .take(ctx.idle, query.model, true)
+                .or_else(|| self.cursors.take(ctx.idle, query.model, false));
+            if let Some(i) = slot {
+                free -= 1;
                 out.push(Dispatch {
                     query_index,
                     instance_index: i as usize,
@@ -346,32 +466,68 @@ mod tests {
         let idle = idle_order(&views);
         // Usable instances by index first, then the provisioning one.
         assert_eq!(idle, vec![1, 2, 0]);
+        let index = IdleIndex::from_views(&views, 10);
         let ctx = SchedulingContext {
             now_us: 10,
             queued: &[],
             instances: &views,
-            idle: &idle,
+            idle: &index,
             qos_us: 1_000_000,
             qos_by_model: &[],
         };
-        assert_eq!(ctx.idle_now(), &[1, 2]);
+        assert_eq!(ctx.idle.of(ModelId::DEFAULT, true), &[1]);
+        assert_eq!(ctx.idle.of(ModelId::DEFAULT, false), &[2]);
+        assert_eq!(ctx.idle.of(ModelId::new(3), true), &[] as &[u32]);
+        assert_eq!(index.usable(), vec![1, 2]);
+        assert_eq!(index.len(), 2);
+    }
+
+    #[test]
+    fn idle_index_keeps_each_list_sorted() {
+        let mut index = IdleIndex::new(1);
+        let m1 = ModelId::new(1);
+        for i in [7, 3, 9, 1] {
+            index.insert(m1, false, i);
+        }
+        index.insert(ModelId::DEFAULT, true, 4);
+        assert_eq!(index.num_models(), 2);
+        assert_eq!(index.of(m1, false), &[9, 7, 3, 1]);
+        assert!(index.remove(m1, false, 3));
+        assert!(!index.remove(m1, false, 3));
+        assert!(!index.remove(m1, true, 7), "wrong class");
+        assert!(!index.remove(ModelId::new(5), true, 7), "unknown model");
+        assert!(index.contains(m1, false, 9));
+        assert_eq!(index.usable(), vec![1, 4, 7, 9]);
+        let mut cursors = IdleCursors::default();
+        cursors.reset(&index);
+        assert_eq!(cursors.take(&index, m1, false), Some(1));
+        assert_eq!(cursors.take(&index, m1, false), Some(7));
+        assert_eq!(cursors.take(&index, m1, true), None);
+        assert_eq!(cursors.take(&index, ModelId::new(5), true), None);
+    }
+
+    fn context<'a>(
+        now_us: TimeUs,
+        queued: &'a [Query],
+        instances: &'a [InstanceView],
+        idle: &'a IdleIndex,
+    ) -> SchedulingContext<'a> {
+        SchedulingContext {
+            now_us,
+            queued,
+            instances,
+            idle,
+            qos_us: 1_000_000,
+            qos_by_model: &[],
+        }
     }
 
     #[test]
     fn fcfs_prefers_base_instances() {
         let queued = vec![Query::new(0, 10, 0), Query::new(1, 20, 0)];
         let instances = vec![view(0, false, 0), view(1, true, 0), view(2, false, 500)];
-        let idle = idle_order(&instances);
-        let ctx = SchedulingContext {
-            now_us: 0,
-            queued: &queued,
-            instances: &instances,
-            idle: &idle,
-            qos_us: 1_000_000,
-            qos_by_model: &[],
-        };
-        let mut fcfs = FcfsScheduler::new();
-        let plan = fcfs.schedule(&ctx);
+        let idle = IdleIndex::from_views(&instances, 0);
+        let plan = FcfsScheduler::new().schedule(&context(0, &queued, &instances, &idle));
         assert_eq!(plan.len(), 2);
         // Oldest query goes to the base instance.
         assert_eq!(
@@ -394,15 +550,89 @@ mod tests {
     fn fcfs_ignores_busy_instances() {
         let queued = vec![Query::new(0, 10, 0)];
         let instances = vec![view(0, true, 900)];
-        let idle = idle_order(&instances);
-        let ctx = SchedulingContext {
-            now_us: 100,
-            queued: &queued,
-            instances: &instances,
-            idle: &idle,
-            qos_us: 1_000_000,
-            qos_by_model: &[],
-        };
+        let idle = IdleIndex::from_views(&instances, 100);
+        let ctx = context(100, &queued, &instances, &idle);
         assert!(FcfsScheduler::new().schedule(&ctx).is_empty());
+    }
+
+    /// The sort-and-scan FCFS round the idle index replaced: copy the usable
+    /// idle instances, sort them by `(!is_base, index)`, and give each query,
+    /// oldest first, the first untaken instance bound to its model.  The
+    /// oracle for the cursor-based round.
+    fn fcfs_sort_and_scan(ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
+        let mut order: Vec<u32> = idle_order(ctx.instances)
+            .into_iter()
+            .filter(|&i| ctx.instances[i as usize].free_at_us <= ctx.now_us)
+            .collect();
+        order.sort_unstable_by_key(|&i| (!ctx.instances[i as usize].is_base, i));
+        let mut taken = vec![false; order.len()];
+        let mut plan = Vec::new();
+        for (query_index, query) in ctx.queued.iter().enumerate() {
+            let slot = (0..order.len())
+                .find(|&k| !taken[k] && ctx.instances[order[k] as usize].model == query.model);
+            if let Some(k) = slot {
+                taken[k] = true;
+                plan.push(Dispatch {
+                    query_index,
+                    instance_index: order[k] as usize,
+                });
+            }
+        }
+        plan
+    }
+
+    /// Random instance: (model, is_base, accepting, backlog, free_at).
+    fn random_view(
+        index: usize,
+        (model, is_base, accepting, backlog, free_at): (usize, bool, bool, usize, TimeUs),
+    ) -> InstanceView {
+        InstanceView {
+            instance_index: index,
+            type_index: usize::from(!is_base),
+            type_name: if is_base { "base" } else { "aux" }.into(),
+            model: ModelId::new(model),
+            is_base,
+            accepting,
+            free_at_us: free_at,
+            backlog,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// On random multi-model, heterogeneous contexts — busy, draining
+        /// and still-provisioning instances mixed in — with mixed-model
+        /// queues, the cursor round dispatches exactly what the sort-based
+        /// round did, in the same order.
+        #[test]
+        fn fcfs_matches_the_sort_based_oracle(
+            raw_views in proptest::collection::vec(
+                (0usize..4, 0usize..2, 0usize..8, 0usize..3, 0u64..2_000),
+                0..48,
+            ),
+            raw_queue in proptest::collection::vec((0usize..5, 1u32..1_000), 0..64),
+            now_us in 0u64..2_000,
+        ) {
+            let instances: Vec<InstanceView> = raw_views
+                .iter()
+                .enumerate()
+                .map(|(i, &(m, base, accept, backlog, free_at))| {
+                    random_view(i, (m, base == 1, accept != 0, backlog, free_at))
+                })
+                .collect();
+            let queued: Vec<Query> = raw_queue
+                .iter()
+                .enumerate()
+                .map(|(id, &(m, batch))| Query::for_model(id as u64, ModelId::new(m), batch, 0))
+                .collect();
+            let idle = IdleIndex::from_views(&instances, now_us);
+            let ctx = context(now_us, &queued, &instances, &idle);
+            let mut fcfs = FcfsScheduler::new();
+            let plan = fcfs.schedule(&ctx);
+            proptest::prop_assert_eq!(&plan, &fcfs_sort_and_scan(&ctx));
+            // The scratch carries nothing across rounds.
+            proptest::prop_assert_eq!(fcfs.schedule(&ctx), plan);
+        }
     }
 }

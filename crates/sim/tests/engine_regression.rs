@@ -17,7 +17,7 @@ use kairos_sim::{
     idle_order, run_trace, run_trace_naive, BatchingOptions, Dispatch, FcfsScheduler, Scheduler,
     SchedulingContext, ServiceSpec, SharingMode, SharingOptions, SimEngine, SimulationOptions,
 };
-use kairos_workload::TraceSpec;
+use kairos_workload::{ModelId, TraceSpec};
 
 fn setup() -> (PoolSpec, ServiceSpec) {
     (
@@ -105,11 +105,31 @@ fn incremental_views_equal_recomputed_views_on_a_10k_production_trace() {
             .any(|inst| !inst.local_queue.is_empty());
         // The *hot-path* state: incrementally maintained views + idle index,
         // with no full-cluster sweep behind them.
-        let (views, idle) = engine.scheduler_views();
+        let now = engine.now();
+        let (views, idle, pending) = engine.scheduler_views();
         assert_eq!(views, &reference[..], "views diverged after event {events}");
+        // Each class list is the reference order filtered to that class,
+        // highest index first.
+        for base in [true, false] {
+            let class: Vec<u32> = reference_idle
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    let v = &reference[i as usize];
+                    v.is_base == base && v.free_at_us <= now
+                })
+                .rev()
+                .collect();
+            assert_eq!(
+                idle.of(ModelId::DEFAULT, base),
+                &class[..],
+                "idle list (base: {base}) diverged after event {events}"
+            );
+        }
+        let mut flat = idle.usable();
+        flat.extend_from_slice(pending);
         assert_eq!(
-            idle,
-            &reference_idle[..],
+            flat, reference_idle,
             "idle index diverged after event {events}"
         );
         events += 1;

@@ -26,10 +26,10 @@ use kairos_models::{
     PreemptionProcess, PriceTrace, TraceMarket,
 };
 use kairos_sim::{
-    idle_order, run_trace, run_trace_naive, Dispatch, EngineEvent, Scheduler, SchedulingContext,
-    ServiceSpec, SimEngine, SimulationOptions,
+    idle_order, run_trace, run_trace_naive, Dispatch, EngineEvent, IdleIndex, InstanceView,
+    Scheduler, SchedulingContext, ServiceSpec, SimEngine, SimulationOptions,
 };
-use kairos_workload::TraceSpec;
+use kairos_workload::{ModelId, TraceSpec};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -68,6 +68,43 @@ fn actions() -> impl Strategy<Value = Vec<(usize, Action)>> {
         out.sort_by_key(|(at, _)| *at);
         out
     })
+}
+
+/// The engine's idle index against the recomputed reference views: each
+/// `(model, class)` list is [`idle_order`] filtered to that class and to
+/// instances usable at `now`, reversed (the lists keep the highest index
+/// first), and the usable instances followed by the pending list are
+/// exactly [`idle_order`].
+fn check_idle_index(
+    reference: &[InstanceView],
+    now: u64,
+    idle: &IdleIndex,
+    pending: &[u32],
+) -> Result<(), TestCaseError> {
+    let reference_idle = idle_order(reference);
+    let models = reference
+        .iter()
+        .map(|v| v.model.index() + 1)
+        .max()
+        .unwrap_or(0);
+    for model in (0..models.max(idle.num_models())).map(ModelId::new) {
+        for base in [true, false] {
+            let class: Vec<u32> = reference_idle
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    let v = &reference[i as usize];
+                    v.model == model && v.is_base == base && v.free_at_us <= now
+                })
+                .rev()
+                .collect();
+            prop_assert_eq!(idle.of(model, base), &class[..]);
+        }
+    }
+    let mut flat = idle.usable();
+    flat.extend_from_slice(pending);
+    prop_assert_eq!(flat, reference_idle);
+    Ok(())
 }
 
 /// A queue-building policy (earliest projected free time) so local queues
@@ -109,9 +146,10 @@ impl Scheduler for EarliestFreeScheduler {
 }
 
 /// An idle-index-driven policy: large queries to idle base instances, small
-/// ones to idle auxiliaries, consuming `ctx.idle_now()` directly — so the
-/// equivalence property also covers the engine-maintained idle index as seen
-/// through the public scheduling contract.
+/// ones to idle auxiliaries, highest instance index first, reading the
+/// context's class lists directly — so the equivalence property also covers
+/// the engine-maintained idle index as seen through the public scheduling
+/// contract.
 struct ThresholdScheduler {
     threshold: u32,
 }
@@ -122,15 +160,15 @@ impl Scheduler for ThresholdScheduler {
     }
 
     fn schedule(&mut self, ctx: &SchedulingContext<'_>) -> Vec<Dispatch> {
-        let mut idle_base: Vec<u32> = Vec::new();
-        let mut idle_aux: Vec<u32> = Vec::new();
-        for &i in ctx.idle_now() {
-            if ctx.instances[i as usize].is_base {
-                idle_base.push(i);
-            } else {
-                idle_aux.push(i);
-            }
-        }
+        let class = |base: bool| {
+            let mut all: Vec<u32> = (0..ctx.idle.num_models())
+                .flat_map(|m| ctx.idle.of(ModelId::new(m), base))
+                .copied()
+                .collect();
+            all.sort_unstable();
+            all
+        };
+        let (mut idle_base, mut idle_aux) = (class(true), class(false));
         let mut plan = Vec::new();
         for (query_index, query) in ctx.queued.iter().enumerate() {
             let pool = if query.batch_size > self.threshold {
@@ -226,9 +264,9 @@ proptest! {
             // for bit.  Only retired instances (never dispatchable) are
             // allowed a stale `free_at_us`.
             let reference = engine.recompute_views();
-            let reference_idle = idle_order(&reference);
-            let (views, idle) = engine.scheduler_views();
-            prop_assert_eq!(idle, &reference_idle[..]);
+            let now = engine.now();
+            let (views, idle, pending) = engine.scheduler_views();
+            check_idle_index(&reference, now, idle, pending)?;
             for (view, expect) in views.iter().zip(&reference) {
                 if view.accepting || expect.backlog > 0 {
                     prop_assert_eq!(view, expect);
@@ -410,9 +448,9 @@ proptest! {
             // recomputed reference (terminated instances may keep a stale
             // free time — no policy reads it).
             let reference = engine.recompute_views();
-            let reference_idle = idle_order(&reference);
-            let (views, idle) = engine.scheduler_views();
-            prop_assert_eq!(idle, &reference_idle[..]);
+            let now = engine.now();
+            let (views, idle, pending) = engine.scheduler_views();
+            check_idle_index(&reference, now, idle, pending)?;
             for (view, expect) in views.iter().zip(&reference) {
                 if view.accepting || expect.backlog > 0 {
                     prop_assert_eq!(view, expect);
