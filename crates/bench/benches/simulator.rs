@@ -499,6 +499,41 @@ fn bench_rank_configs_variants(c: &mut Criterion) {
     group.finish();
 }
 
+/// One serving-loop replan that misses the plan cache: a warmed RM2 system
+/// picks its next target under a budget that alternates between two nearby
+/// shares (as the multi-model water-filling moves a lane's share whenever
+/// any lane replans), so every call re-ranks the ~8k configurations the
+/// budget affords and selects the cheapest covering one.
+fn bench_replan_miss(c: &mut Criterion) {
+    use kairos_core::{ServingOptions, ServingSystem};
+
+    let pool = PoolSpec::new(ec2::paper_pool());
+    let mut system = ServingSystem::new(
+        pool,
+        ModelKind::Rm2,
+        Some(paper_calibration()),
+        ServingOptions::default(),
+    );
+    system.warm_monitor(&BatchSizeDistribution::production_default(), 2_000, 7);
+    let budgets = [2.7, 2.71];
+    let best = system.controller().plan(budgets[0]).unwrap().ranked[0].1;
+    let demand = best * 0.6;
+    let current = system
+        .plan_for_demand_with_budget(budgets[0], demand)
+        .unwrap();
+
+    let mut group = c.benchmark_group("replan_miss");
+    group.sample_size(10);
+    let mut turn = 0;
+    group.bench_function("rm2_alternating_budget", |b| {
+        b.iter(|| {
+            turn ^= 1;
+            black_box(system.select_target_for(budgets[turn], demand, black_box(&current)))
+        })
+    });
+    group.finish();
+}
+
 /// The sparse per-model hot paths a thousands-of-models serverless tail
 /// leans on: sampling a 2000-component mix (binary search over the
 /// cumulative-share table — the legacy linear subtraction scan is O(n) per
@@ -583,6 +618,7 @@ criterion_group!(
     bench_large_cluster_replay,
     bench_rank_configs_sweep,
     bench_rank_configs_variants,
+    bench_replan_miss,
     bench_sparse_mix,
     bench_allowable_throughput_probe
 );

@@ -14,7 +14,7 @@
 //! each planned independently, and the shard configurations are summed.
 
 use crate::distribution::KairosScheduler;
-use crate::planner::{KairosPlanner, Plan};
+use crate::planner::{KairosPlanner, Plan, Ranking};
 use kairos_models::{
     latency::{LatencyProfile, LatencyTable},
     mlmodel::ModelKind,
@@ -185,7 +185,7 @@ impl KairosController {
     /// The batch-size sample the planner should use: the monitor window, or a
     /// conservative single-bucket sample when nothing has been observed yet
     /// (assuming worst-case largest queries until evidence says otherwise).
-    fn batch_sample(&self) -> Vec<u32> {
+    pub(crate) fn batch_sample(&self) -> Vec<u32> {
         if self.monitor.is_empty() {
             vec![MAX_BATCH_SIZE]
         } else {
@@ -196,9 +196,16 @@ impl KairosController {
     /// Plans a configuration for the given hourly budget from current
     /// knowledge.  Returns `None` until enough latency knowledge exists.
     pub fn plan(&self, budget_per_hour: f64) -> Option<Plan> {
+        Some(self.ranking(budget_per_hour)?.to_plan())
+    }
+
+    /// [`Self::plan`] in lean form (see [`Ranking`]): what the serving loop
+    /// selects from.  The monitor snapshot moves into the estimator, so a
+    /// pass copies the window once.
+    pub fn ranking(&self, budget_per_hour: f64) -> Option<Ranking> {
         let table = self.learned_table()?;
         let planner = KairosPlanner::new(self.pool.clone(), self.model, table);
-        Some(planner.plan(budget_per_hour, &self.batch_sample()))
+        Some(planner.rank(budget_per_hour, self.batch_sample()))
     }
 
     /// A quantized fingerprint of everything a [`Plan`] depends on besides
@@ -292,9 +299,9 @@ impl KairosController {
         let table = self.learned_table()?;
         let planner = KairosPlanner::new(self.pool.clone(), self.model, table);
         let shard_budget = budget_per_hour / shards as f64;
-        let plan = planner.plan(shard_budget, &self.batch_sample());
-        let merged = plan
-            .chosen
+        let ranking = planner.rank(shard_budget, self.batch_sample());
+        let merged = ranking
+            .chosen()
             .counts()
             .iter()
             .map(|&c| c * shards)

@@ -60,6 +60,8 @@ pub mod distribution;
 pub mod kairos_plus;
 pub mod lmatrix;
 pub mod planner;
+#[cfg(test)]
+mod ranking_oracle;
 pub mod selection;
 pub mod serverless;
 pub mod service;
@@ -72,7 +74,7 @@ pub use controller::KairosController;
 pub use distribution::KairosScheduler;
 pub use kairos_plus::{kairos_plus_search, SearchResult};
 pub use lmatrix::DEFAULT_XI;
-pub use planner::{KairosPlanner, Plan, PlanCache};
+pub use planner::{Covering, KairosPlanner, Plan, PlanCache, Ranking};
 pub use selection::select_configuration;
 pub use serverless::ServerlessRuntime;
 pub use service::{InferenceService, MultiScheduler, MultiServingOutcome};

@@ -617,6 +617,12 @@ impl InferenceService {
         let drift_cooldown_us =
             (self.options.replan_interval_us / 2).min(self.options.rate_horizon_us);
         let horizon_s = self.options.rate_horizon_us as f64 / 1e6;
+        // Per-event scratch, overwritten (not reallocated) on every event:
+        // each lane's demand, whether that demand is a fresh estimate, and
+        // the lanes due for a replan.
+        let mut demands = vec![0.0f64; n];
+        let mut fresh = vec![false; n];
+        let mut due: Vec<(usize, ReplanTrigger)> = Vec::with_capacity(n);
 
         while let Some(event) = engine.step_event() {
             let now = engine.now();
@@ -677,15 +683,13 @@ impl InferenceService {
             // scan per event).
             let backlog = engine.queued_backlog() as f64;
             let window_total: usize = self.lanes.iter().map(|l| l.arrivals.len()).sum();
-            let mut demands = vec![0.0f64; n];
-            // Whether lane m produced a *fresh* rate estimate this event.  A
-            // lane without one must not be replanned against demand 0 — that
-            // would scale it to the floor while its real traffic is merely
-            // unobservable right now — so it keeps its last planned rate as
-            // its weight in the budget split and is never marked due (the
-            // single-model loop's `let Some(demand) = rate else { continue }`
-            // guard, per lane).
-            let mut fresh = vec![false; n];
+            // `fresh[m]`: whether lane m produced a *fresh* rate estimate
+            // this event.  A lane without one must not be replanned against
+            // demand 0 — that would scale it to the floor while its real
+            // traffic is merely unobservable right now — so it keeps its
+            // last planned rate as its weight in the budget split and is
+            // never marked due (the single-model loop's
+            // `let Some(demand) = rate else { continue }` guard, per lane).
             let mut any_rate = false;
             for (m, lane) in self.lanes.iter_mut().enumerate() {
                 let share = if window_total > 0 {
@@ -702,6 +706,7 @@ impl InferenceService {
                     any_rate = true;
                 } else {
                     demands[m] = lane.planned_rate.unwrap_or(0.0);
+                    fresh[m] = false;
                 }
             }
 
@@ -715,7 +720,7 @@ impl InferenceService {
             if !any_rate {
                 continue;
             }
-            let mut due: Vec<(usize, ReplanTrigger)> = Vec::new();
+            due.clear();
             for (m, lane) in self.lanes.iter().enumerate() {
                 // A serverless lane's capacity is its parked vessel; billing
                 // follows usage through parking, not through reconfiguration,
@@ -752,7 +757,7 @@ impl InferenceService {
             }
             let budgets = self.split_budget(&demands);
             last_budget_split = budgets.clone();
-            for (m, trigger) in due {
+            for &(m, trigger) in &due {
                 let lane = &mut self.lanes[m];
                 lane.last_replan_us = now;
                 if lane.system.controller().observed_queries() < self.options.min_observations {

@@ -33,7 +33,7 @@
 //! and scales in — gracefully draining surplus instances — when load drops.
 
 use crate::controller::KairosController;
-use crate::planner::PlanCache;
+use crate::planner::{PlanCache, Ranking};
 use crate::variants::{build_lanes, prune_dominated, VariantRuntime};
 use kairos_models::{
     latency::{LatencyProfile, LatencyTable},
@@ -769,30 +769,18 @@ impl ServingSystem {
         budget_per_hour: f64,
         demand_qps: f64,
     ) -> Option<Config> {
-        let plan = self.controller.plan(budget_per_hour)?;
+        let ranking = self.controller.ranking(budget_per_hour)?;
         let required = demand_qps * self.options.demand_headroom;
         // The spread constraint binds from the very first deployment: a
         // fleet that only spreads after its first cadence replan spends the
         // opening interval fully concentrated.
-        if let Some((fraction, table)) = self
+        let spread = self
             .options
             .max_fraction_per_domain
-            .zip((!self.placements.is_empty()).then_some(self.placements.as_slice()))
-        {
-            let spread_ok: Vec<(Config, f64)> = plan
-                .ranked
-                .iter()
-                .filter(|(c, _)| within_spread(c, table, fraction))
-                .cloned()
-                .collect();
-            if !spread_ok.is_empty() {
-                return Some(
-                    cheapest_covering(&self.pool, &spread_ok, required)
-                        .unwrap_or_else(|| spread_ok[0].0.clone()),
-                );
-            }
-        }
-        Some(cheapest_covering(&self.pool, &plan.ranked, required).unwrap_or(plan.chosen))
+            .zip((!self.placements.is_empty()).then_some(self.placements.as_slice()));
+        Some(spread_or_unconstrained(
+            &ranking, &self.pool, required, spread,
+        ))
     }
 
     /// The next deployment target for this system's model given current
@@ -1149,28 +1137,15 @@ impl ServingSystem {
     }
 }
 
-/// Cheapest ranked configuration whose upper bound covers `required` QPS
-/// (ties broken towards the higher bound).
-fn cheapest_covering(pool: &PoolSpec, ranked: &[(Config, f64)], required: f64) -> Option<Config> {
-    ranked
-        .iter()
-        .filter(|(_, ub)| *ub >= required)
-        .min_by(|(ca, ua), (cb, ub)| {
-            ca.cost(pool)
-                .partial_cmp(&cb.cost(pool))
-                .unwrap()
-                .then(ub.partial_cmp(ua).unwrap())
-        })
-        .map(|(c, _)| c.clone())
-}
-
 /// Picks the next deployment target given current knowledge, observed
 /// demand, a budget cap and the configuration deployed right now, applying
 /// the scale-in hysteresis described on [`ServingOptions::shrink_factor`].
-/// The ranked plan comes through the [`PlanCache`], so back-to-back replans
-/// under materially unchanged knowledge are near-free.  (Free function over
-/// split borrows: the serving loop calls it while the engine borrows the
-/// pool.)
+/// The ranking comes through the [`PlanCache`], so back-to-back replans
+/// under materially unchanged knowledge and budget are near-free, and a
+/// miss ranks without sorting.  Every filter below is a predicate over the
+/// ranking's count slices, answered in one pass
+/// ([`Ranking::covering`]).  (Free function over split borrows: the
+/// serving loop calls it while the engine borrows the pool.)
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn select_target(
     plan_cache: &mut PlanCache,
@@ -1183,7 +1158,7 @@ pub(crate) fn select_target(
     domains: Option<&[FailureDomain]>,
     blocked: Option<(&PurchaseBackoff, TimeUs)>,
 ) -> Option<Config> {
-    let plan = plan_cache.plan(controller, budget_per_hour)?;
+    let ranking = plan_cache.ranking(controller, budget_per_hour)?;
     let required = demand_qps * options.demand_headroom;
     // Realizability first: during an announced fault window the parked
     // offerings reject every purchase, so a target that *grows* a parked
@@ -1191,55 +1166,27 @@ pub(crate) fn select_target(
     // replacements that can never land.  (The price penalty alone cannot
     // express this for the base type, which stays unpenalized so the
     // planner always has an affordable anchor.)
-    let realizable: Option<Vec<(Config, f64)>> = blocked
+    let realizable: Option<usize> = blocked
         .filter(|(backoff, now)| backoff.any_blocked(*now))
-        .map(|(backoff, now)| {
-            plan.ranked
-                .iter()
-                .filter(|(c, _)| purchasable(c, current, pool, backoff, now))
-                .cloned()
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty());
-    // The spread constraint filters the ranked list *after* the solver ran
-    // — the PR 5 lowering keeps planners domain-free and the per-offering
+        .and_then(|(backoff, now)| {
+            let found = ranking.covering(pool, required, |c| {
+                purchasable(c, current.counts(), pool, backoff, now)
+            });
+            found.cheapest.or(found.top)
+        });
+    // The spread constraint filters the ranking *after* the solver ran —
+    // the offering lowering keeps planners domain-free and the per-offering
     // domain table resolves each coordinate back to its zone here.  While a
     // fault window actively blocks offerings, the spread *preference* is
     // suspended: concentrating in the surviving domains is exactly what the
     // moment calls for (the constraint would otherwise veto the failover),
     // and the next fault replan after restore re-balances the fleet.
     let spread = options.max_fraction_per_domain.zip(domains);
-    let candidate =
-        match (&realizable, spread) {
-            (Some(realizable), _) => cheapest_covering(pool, realizable, required)
-                .unwrap_or_else(|| realizable[0].0.clone()),
-            (None, Some((fraction, table))) => {
-                let spread_ok: Vec<(Config, f64)> = plan
-                    .ranked
-                    .iter()
-                    .filter(|(c, _)| within_spread(c, table, fraction))
-                    .cloned()
-                    .collect();
-                if spread_ok.is_empty() {
-                    // No ranked configuration satisfies the spread (e.g. a
-                    // single-offering catalog): plan unconstrained rather than
-                    // not at all.
-                    cheapest_covering(pool, &plan.ranked, required)
-                        .unwrap_or_else(|| plan.chosen.clone())
-                } else {
-                    cheapest_covering(pool, &spread_ok, required)
-                        .unwrap_or_else(|| spread_ok[0].0.clone())
-                }
-            }
-            (None, None) => cheapest_covering(pool, &plan.ranked, required)
-                .unwrap_or_else(|| plan.chosen.clone()),
-        };
-    let current_ub = plan
-        .ranked
-        .iter()
-        .find(|(c, _)| c == current)
-        .map(|(_, ub)| *ub)
-        .unwrap_or(0.0);
+    let candidate = match realizable {
+        Some(index) => ranking.config(index),
+        None => spread_or_unconstrained(&ranking, pool, required, spread),
+    };
+    let current_ub = ranking.bound_of(current).unwrap_or(0.0);
     // Keep the deployment when it still (approximately) covers demand —
     // the 0.8 slack absorbs upper-bound wobble as knowledge evolves — and
     // is not substantially more expensive than the candidate.  A deployment
@@ -1247,27 +1194,52 @@ pub(crate) fn select_target(
     let keep = current_ub >= required * 0.8
         && current.cost(pool) <= candidate.cost(pool) * options.shrink_factor
         && (realizable.is_some()
-            || spread.is_none_or(|(fraction, table)| within_spread(current, table, fraction)));
+            || spread
+                .is_none_or(|(fraction, table)| within_spread(current.counts(), table, fraction)));
     Some(if keep { current.clone() } else { candidate })
 }
 
-/// Whether `target` can be realized right now: every type it grows beyond
-/// the current deployment must be purchasable (not parked in the backoff
-/// book).  Shrinking or holding a type needs no purchase and always passes.
-/// Base types get a floor of one, mirroring the price-penalty exemption —
-/// every enumerable configuration carries a base instance, so holding them
-/// strictly to the rule would empty the plan space mid-drain; growing base
-/// capacity *beyond* that floor in a parked domain is still vetoed, so the
-/// planner cannot paper over an outage with phantom base instances.
+/// The cheapest ranked configuration covering `required` QPS among those
+/// within the `spread` limit (if any), else the best-ranked one within it.
+/// When nothing satisfies the spread (e.g. a single-offering catalog), or
+/// without a limit, the cheapest covering configuration overall, else the
+/// planner's own choice.
+pub(crate) fn spread_or_unconstrained(
+    ranking: &Ranking,
+    pool: &PoolSpec,
+    required: f64,
+    spread: Option<(f64, &[FailureDomain])>,
+) -> Config {
+    if let Some((fraction, table)) = spread {
+        let found = ranking.covering(pool, required, |c| within_spread(c, table, fraction));
+        if let Some(index) = found.cheapest.or(found.top) {
+            return ranking.config(index);
+        }
+    }
+    match ranking.covering(pool, required, |_| true).cheapest {
+        Some(index) => ranking.config(index),
+        None => ranking.chosen().clone(),
+    }
+}
+
+/// Whether a `target` with these counts can be realized right now: every
+/// type it grows beyond the `current` counts must be purchasable (not parked
+/// in the backoff book).  Shrinking or holding a type needs no purchase and
+/// always passes.  Base types get a floor of one, mirroring the
+/// price-penalty exemption — every enumerable configuration carries a base
+/// instance, so holding them strictly to the rule would empty the plan
+/// space mid-drain; growing base capacity *beyond* that floor in a parked
+/// domain is still vetoed, so the planner cannot paper over an outage with
+/// phantom base instances.
 fn purchasable(
-    target: &Config,
-    current: &Config,
+    target: &[usize],
+    current: &[usize],
     pool: &PoolSpec,
     backoff: &PurchaseBackoff,
     now: TimeUs,
 ) -> bool {
-    target.counts().iter().enumerate().all(|(i, &n)| {
-        let held = current.counts().get(i).copied().unwrap_or(0);
+    target.iter().enumerate().all(|(i, &n)| {
+        let held = current.get(i).copied().unwrap_or(0);
         let cap = if pool.types()[i].is_base {
             held.max(1)
         } else {
@@ -1307,26 +1279,32 @@ pub(crate) fn fault_window_end(
         .max()
 }
 
-/// Whether no failure domain holds more than `fraction` of the
-/// configuration's instances (per the per-type domain `table`).
-/// Single-instance deployments trivially pass: there is nothing to spread.
-pub(crate) fn within_spread(config: &Config, table: &[FailureDomain], fraction: f64) -> bool {
-    let total: usize = config.counts().iter().sum();
+/// Whether no failure domain holds more than `fraction` of the instances
+/// in `counts` (per the per-type domain `table`).  Single-instance
+/// deployments trivially pass: there is nothing to spread.
+pub(crate) fn within_spread(counts: &[usize], table: &[FailureDomain], fraction: f64) -> bool {
+    let total: usize = counts.iter().sum();
     if total <= 1 {
         return true;
     }
     let limit = fraction * total as f64 + 1e-9;
-    let mut seen: Vec<(&FailureDomain, usize)> = Vec::new();
-    for (type_index, &count) in config.counts().iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        match seen.iter_mut().find(|(d, _)| *d == &table[type_index]) {
-            Some((_, n)) => *n += count,
-            None => seen.push((&table[type_index], count)),
-        }
-    }
-    seen.iter().all(|(_, n)| *n as f64 <= limit)
+    // Each domain is totalled at its first type with instances; catalogs
+    // have a handful of offerings, so the quadratic scan beats a map.
+    counts.iter().enumerate().all(|(i, &count)| {
+        let first = count > 0
+            && !counts[..i]
+                .iter()
+                .zip(table)
+                .any(|(&c, d)| c > 0 && *d == table[i]);
+        !first
+            || counts[i..]
+                .iter()
+                .zip(&table[i..])
+                .filter(|(_, d)| **d == table[i])
+                .map(|(&c, _)| c)
+                .sum::<usize>() as f64
+                <= limit
+    })
 }
 
 /// Offered-rate estimate (QPS) over the arrivals within `horizon_us` of
@@ -1802,11 +1780,11 @@ mod tests {
     fn within_spread_checks_per_domain_shares() {
         let table = two_zone_catalog().domains();
         // Everything in zone a: 4/4 in one domain.
-        assert!(!within_spread(&Config::new(vec![2, 2, 0, 0]), &table, 0.6));
+        assert!(!within_spread(&[2, 2, 0, 0], &table, 0.6));
         // 2/4 per zone respects a 0.6 cap.
-        assert!(within_spread(&Config::new(vec![1, 1, 1, 1]), &table, 0.6));
+        assert!(within_spread(&[1, 1, 1, 1], &table, 0.6));
         // A single instance has nothing to spread.
-        assert!(within_spread(&Config::new(vec![1, 0, 0, 0]), &table, 0.5));
+        assert!(within_spread(&[1, 0, 0, 0], &table, 0.5));
     }
 
     #[test]

@@ -81,6 +81,22 @@ pub fn upper_bound_general(
     aux: &[AuxClass],
     fraction_small: f64,
 ) -> f64 {
+    for a in aux {
+        assert!(a.qps >= 0.0, "auxiliary throughput must be non-negative");
+    }
+    let aux_total: f64 = aux.iter().map(|a| a.nodes as f64 * a.qps).sum();
+    upper_bound_from_aux_total(base_nodes, q_base, q_base_splus, aux_total, fraction_small)
+}
+
+/// [`upper_bound_general`] once the auxiliary side is summed: `aux_total`
+/// is `Σ v_i · Q_a^i`, accumulated in class order.
+fn upper_bound_from_aux_total(
+    base_nodes: usize,
+    q_base: f64,
+    q_base_splus: f64,
+    aux_total: f64,
+    fraction_small: f64,
+) -> f64 {
     assert!(
         q_base >= 0.0 && q_base_splus >= 0.0,
         "throughputs must be non-negative"
@@ -89,12 +105,8 @@ pub fn upper_bound_general(
         (0.0..=1.0 + F_EPS).contains(&fraction_small),
         "fraction must lie in [0, 1], got {fraction_small}"
     );
-    for a in aux {
-        assert!(a.qps >= 0.0, "auxiliary throughput must be non-negative");
-    }
 
     let u = base_nodes as f64;
-    let aux_total: f64 = aux.iter().map(|a| a.nodes as f64 * a.qps).sum();
     let f = fraction_small;
 
     // Degenerate mixes.
@@ -160,6 +172,8 @@ pub struct ThroughputEstimator {
     model: ModelSpec,
     latency: LatencyTable,
     batch_sample: Vec<u32>,
+    /// Index of the pool's base type.
+    base_index: usize,
     /// QoS cutoff per pool type, precomputed (see [`Self::cutoff`]).
     cutoffs: Vec<Option<u32>>,
     /// Base throughput over the full mix (`Q_b`), QPS, precomputed.
@@ -185,11 +199,13 @@ impl ThroughputEstimator {
         for t in pool.types() {
             latency.expect(model_kind, &t.name);
         }
+        let base_index = pool.base_index();
         let mut est = Self {
             pool,
             model,
             latency,
             batch_sample,
+            base_index,
             cutoffs: Vec::new(),
             q_base: 0.0,
             cutoff_stats: Vec::new(),
@@ -197,7 +213,6 @@ impl ThroughputEstimator {
         est.cutoffs = (0..est.pool.num_types())
             .map(|i| est.compute_cutoff(i))
             .collect();
-        let base_index = est.pool.base_index();
         est.q_base = est
             .mean_latency_over(base_index, |_| true)
             .map(|ms| 1000.0 / ms)
@@ -232,6 +247,12 @@ impl ThroughputEstimator {
                     .collect(),
             })
             .collect();
+        assert!(
+            est.cutoff_stats
+                .iter()
+                .all(|cs| cs.aux_qps.iter().all(|&qps| qps >= 0.0)),
+            "auxiliary throughput must be non-negative"
+        );
         est
     }
 
@@ -266,41 +287,37 @@ impl ThroughputEstimator {
     fn mean_latency_over<F: Fn(u32) -> bool>(&self, type_index: usize, filter: F) -> Option<f64> {
         let name = &self.pool.types()[type_index].name;
         let profile = self.latency.expect(self.model.kind, name);
-        let selected: Vec<f64> = self
-            .batch_sample
-            .iter()
-            .copied()
-            .filter(|&b| filter(b))
-            .map(|b| profile.latency_ms(b))
-            .collect();
-        if selected.is_empty() {
-            None
-        } else {
-            Some(selected.iter().sum::<f64>() / selected.len() as f64)
-        }
+        // Counted, then summed in sample order: no buffer per call.
+        let selected = || self.batch_sample.iter().copied().filter(|&b| filter(b));
+        let n = selected().count();
+        (n > 0).then(|| selected().map(|b| profile.latency_ms(b)).sum::<f64>() / n as f64)
     }
 
     /// Estimates the throughput upper bound (QPS) of a configuration.
-    ///
-    /// O(types) per call: every sample-dependent quantity in the bound
-    /// depends on the sample only through the shared cutoff, and the
-    /// statistics of every possible cutoff are precomputed at construction
-    /// (`CutoffStats`) with arithmetic identical to the inline
-    /// computation they replaced.
+    /// A wrapper over [`Self::estimate_counts`].
     pub fn estimate(&self, config: &Config) -> f64 {
-        assert_eq!(
-            config.counts().len(),
-            self.pool.num_types(),
-            "config/pool mismatch"
-        );
-        let base_index = self.pool.base_index();
-        let u = config.count(base_index);
+        self.estimate_counts(config.counts())
+    }
+
+    /// Estimates the throughput upper bound (QPS) of the configuration with
+    /// per-type instance `counts` (aligned with the pool's type order).
+    ///
+    /// O(types) per call and allocation-free: every sample-dependent
+    /// quantity in the bound depends on the sample only through the shared
+    /// cutoff, and the statistics of every possible cutoff are precomputed
+    /// at construction (`CutoffStats`).  The auxiliary side is summed in
+    /// type order, exactly as [`upper_bound_general`] sums its classes, so
+    /// the bound is bit-identical to building the `AuxClass` list.
+    pub fn estimate_counts(&self, counts: &[usize]) -> f64 {
+        assert_eq!(counts.len(), self.cutoffs.len(), "config/pool mismatch");
+        let base_index = self.base_index;
+        let u = counts[base_index];
 
         // Shared cutoff: the largest s over the auxiliary types present in
         // the configuration (paper's optimistic simplification for
         // multiple auxiliary types).
         let mut s_max: Option<u32> = None;
-        for (idx, &count) in config.counts().iter().enumerate() {
+        for (idx, &count) in counts.iter().enumerate() {
             if idx == base_index || count == 0 {
                 continue;
             }
@@ -321,22 +338,18 @@ impl ThroughputEstimator {
             .expect("every auxiliary cutoff has precomputed statistics");
 
         // Auxiliary classes: throughput over the small-query mass.
-        let aux: Vec<AuxClass> = config
-            .counts()
+        let aux_total: f64 = counts
             .iter()
             .enumerate()
             .filter(|&(idx, &count)| idx != base_index && count > 0 && self.cutoffs[idx].is_some())
-            .map(|(idx, &count)| AuxClass {
-                nodes: count,
-                qps: stats.aux_qps[idx],
-            })
-            .collect();
+            .map(|(idx, &count)| count as f64 * stats.aux_qps[idx])
+            .sum();
 
-        upper_bound_general(
+        upper_bound_from_aux_total(
             u,
             self.q_base,
             stats.q_base_splus,
-            &aux,
+            aux_total,
             stats.fraction_small,
         )
     }
@@ -496,6 +509,88 @@ mod tests {
                 est.estimate(&bigger) + 1e-9 >= est.estimate(&small),
                 "adding type {type_index} lowered the bound"
             );
+        }
+    }
+
+    /// The estimate built the way it was before `estimate_counts`: an
+    /// `AuxClass` list summed by [`upper_bound_general`].
+    fn estimate_via_aux_classes(est: &ThroughputEstimator, config: &Config) -> f64 {
+        let base_index = est.pool.base_index();
+        let u = config.count(base_index);
+        let s_max = config
+            .counts()
+            .iter()
+            .enumerate()
+            .filter(|&(idx, &count)| idx != base_index && count > 0)
+            .filter_map(|(idx, _)| est.cutoffs[idx])
+            .max();
+        let Some(s_max) = s_max else {
+            return u as f64 * est.q_base;
+        };
+        let stats = est
+            .cutoff_stats
+            .iter()
+            .find(|cs| cs.cutoff == s_max)
+            .unwrap();
+        let aux: Vec<AuxClass> = config
+            .counts()
+            .iter()
+            .enumerate()
+            .filter(|&(idx, &count)| idx != base_index && count > 0 && est.cutoffs[idx].is_some())
+            .map(|(idx, &count)| AuxClass {
+                nodes: count,
+                qps: stats.aux_qps[idx],
+            })
+            .collect();
+        upper_bound_general(
+            u,
+            est.q_base,
+            stats.q_base_splus,
+            &aux,
+            stats.fraction_small,
+        )
+    }
+
+    #[test]
+    fn estimate_counts_is_bitwise_the_aux_class_formulation() {
+        let pool = PoolSpec::new(ec2::paper_pool());
+        for model in ModelKind::ALL {
+            let est = estimator(model);
+            for budget in [0.6, 2.7, 5.0] {
+                let configs = kairos_models::enumerate_configs(
+                    &pool,
+                    &kairos_models::EnumerationOptions::with_budget(budget),
+                );
+                for config in &configs {
+                    assert_eq!(
+                        est.estimate(config).to_bits(),
+                        estimate_via_aux_classes(&est, config).to_bits(),
+                        "{model:?} {config}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mean_latency_is_bitwise_the_collected_mean() {
+        let est = estimator(ModelKind::Dien);
+        for type_index in 0..est.pool.num_types() {
+            let profile = est
+                .latency
+                .expect(ModelKind::Dien, &est.pool.types()[type_index].name);
+            for cutoff in [0, 10, 77, 205, 700, 2000] {
+                let selected: Vec<f64> = est
+                    .batch_sample
+                    .iter()
+                    .filter(|&&b| b <= cutoff)
+                    .map(|&b| profile.latency_ms(b))
+                    .collect();
+                let collected = (!selected.is_empty())
+                    .then(|| selected.iter().sum::<f64>() / selected.len() as f64);
+                let mean = est.mean_latency_over(type_index, |b| b <= cutoff);
+                assert_eq!(mean.map(f64::to_bits), collected.map(f64::to_bits));
+            }
         }
     }
 

@@ -460,10 +460,10 @@ impl VariantRuntime {
                 probe = clone;
                 &probe
             };
-            let Some(plan) = self.caches[i].plan(view, budget_per_hour) else {
+            let Some(ranking) = self.caches[i].ranking(view, budget_per_hour) else {
                 continue;
             };
-            let best_ub = plan.ranked.first().map(|(_, ub)| *ub).unwrap_or(0.0);
+            let best_ub = ranking.best_bound();
             if best_ub >= required {
                 // Lanes are accuracy-descending: first cover wins.
                 return i;

@@ -241,49 +241,69 @@ impl EnumerationOptions {
 ///
 /// The enumeration is exhaustive over the axis-aligned box bounded by
 /// `floor(budget / price_i)` per type, filtered by total cost; this is the
-/// same search space the paper's exhaustive offline search covers.
+/// same search space the paper's exhaustive offline search covers.  A thin
+/// wrapper over [`enumerate_config_counts`], in the same order.
 pub fn enumerate_configs(pool: &PoolSpec, options: &EnumerationOptions) -> Vec<Config> {
-    let budget = options.budget_per_hour;
-    let n = pool.num_types();
-    let max_counts: Vec<usize> = (0..n)
-        .map(|i| (budget / pool.price(i)).floor() as usize)
-        .collect();
+    let mut counts = Vec::new();
+    enumerate_config_counts(pool, options, &mut counts);
+    counts
+        .chunks_exact(pool.num_types())
+        .map(|c| Config::new(c.to_vec()))
+        .collect()
+}
 
-    let mut out = Vec::new();
+/// The flat form of [`enumerate_configs`]: clears `out` and appends each
+/// affordable configuration's `pool.num_types()` counts, so
+/// `out.chunks_exact(pool.num_types())` yields them in enumeration order.
+/// Returns the number of configurations written.
+///
+/// The order is lexicographic over the count vectors (type 0 outermost,
+/// counts ascending), so a configuration's position can be found by binary
+/// search.  No per-configuration allocation: a replanning loop reuses one
+/// buffer across passes.
+pub fn enumerate_config_counts(
+    pool: &PoolSpec,
+    options: &EnumerationOptions,
+    out: &mut Vec<usize>,
+) -> usize {
+    out.clear();
+    let n = pool.num_types();
+    let base = pool.base_index();
     let mut current = vec![0usize; n];
 
     fn recurse(
         pool: &PoolSpec,
-        max_counts: &[usize],
-        budget: f64,
+        options: &EnumerationOptions,
+        base: usize,
         dim: usize,
         spent: f64,
-        current: &mut Vec<usize>,
-        out: &mut Vec<Config>,
+        current: &mut [usize],
+        out: &mut Vec<usize>,
     ) {
-        if dim == max_counts.len() {
-            out.push(Config::new(current.clone()));
+        if dim == current.len() {
+            if (!options.require_nonempty || current.iter().sum::<usize>() > 0)
+                && (!options.require_base_instance || current[base] > 0)
+            {
+                out.extend_from_slice(current);
+            }
             return;
         }
+        let budget = options.budget_per_hour;
         let price = pool.price(dim);
-        for count in 0..=max_counts[dim] {
+        let max_count = (budget / price).floor() as usize;
+        for count in 0..=max_count {
             let cost = spent + price * count as f64;
             if cost > budget + 1e-9 {
                 break;
             }
             current[dim] = count;
-            recurse(pool, max_counts, budget, dim + 1, cost, current, out);
+            recurse(pool, options, base, dim + 1, cost, current, out);
         }
         current[dim] = 0;
     }
 
-    recurse(pool, &max_counts, budget, 0, 0.0, &mut current, &mut out);
-
-    out.retain(|c| {
-        (!options.require_nonempty || c.total_instances() > 0)
-            && (!options.require_base_instance || c.count(pool.base_index()) > 0)
-    });
-    out
+    recurse(pool, options, base, 0, 0.0, &mut current, out);
+    out.len() / n
 }
 
 /// Returns the optimal *homogeneous* configuration: the maximum number of
@@ -411,6 +431,21 @@ mod tests {
             "search space unexpectedly large: {}",
             configs.len()
         );
+    }
+
+    #[test]
+    fn flat_enumeration_is_strictly_lexicographic() {
+        let pool = paper_pool();
+        let mut counts = Vec::new();
+        let n = enumerate_config_counts(&pool, &EnumerationOptions::with_budget(2.5), &mut counts);
+        assert_eq!(counts.len(), n * pool.num_types());
+        let chunks: Vec<&[usize]> = counts.chunks_exact(pool.num_types()).collect();
+        assert!(chunks.windows(2).all(|w| w[0] < w[1]));
+        // The buffer is cleared, not appended to, on reuse.
+        let again =
+            enumerate_config_counts(&pool, &EnumerationOptions::with_budget(1.0), &mut counts);
+        assert_eq!(counts.len(), again * pool.num_types());
+        assert!(again < n);
     }
 
     #[test]
