@@ -259,8 +259,8 @@ pub fn enumerate_configs(pool: &PoolSpec, options: &EnumerationOptions) -> Vec<C
 ///
 /// The order is lexicographic over the count vectors (type 0 outermost,
 /// counts ascending), so a configuration's position can be found by binary
-/// search.  No per-configuration allocation: a replanning loop reuses one
-/// buffer across passes.
+/// search.  No per-configuration allocation, and `out` keeps its capacity
+/// across calls.
 pub fn enumerate_config_counts(
     pool: &PoolSpec,
     options: &EnumerationOptions,
